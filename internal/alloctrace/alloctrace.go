@@ -54,7 +54,7 @@ type Event struct {
 	Thread int32
 	// Now is the virtual timestamp at capture. Timestamps follow the
 	// capture's deterministic global event order but are not globally
-	// monotone: per-thread clocks interleave under the baton protocol.
+	// monotone: per-thread clocks interleave under the scheduler loop.
 	Now int64
 	// Site indexes the trace's Sites table (alloc only). Site 0 is the
 	// empty "unknown" site; VM-driven captures attribute MiniCC

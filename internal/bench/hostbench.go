@@ -202,8 +202,8 @@ func HostBench() (*HostReport, error) {
 	}
 
 	// Scheduler benchmarks: spawn churn (thread creation/retirement
-	// through the pooled workers) and an oversubscribed run (baton
-	// handoff and migration under a long ready queue).
+	// through the pooled coroutines) and an oversubscribed run
+	// (coroutine switches and migration under a long ready queue).
 	schedBenches := []struct {
 		name string
 		run  func() error

@@ -6,7 +6,7 @@
 //
 // Everything here is host-side bookkeeping: no simulated work is ever
 // charged, so a run with observation enabled produces byte-identical
-// makespans to one without. The simulator's baton protocol (one
+// makespans to one without. The simulator's scheduler loop (one
 // simulated thread runs at a time) means no locking is needed.
 package heapobsv
 

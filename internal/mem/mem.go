@@ -17,8 +17,8 @@ const Nil Ref = 0
 const PageSize = 8192
 
 // Space is a simulated process address space with a bump break pointer.
-// It is shared by every allocator in one simulation; the engine's baton
-// protocol guarantees single-threaded access.
+// It is shared by every allocator in one simulation; the engine's
+// scheduler loop guarantees single-threaded access.
 type Space struct {
 	brk   uint64
 	base  uint64

@@ -15,7 +15,7 @@ import (
 // period boundary it crosses, which is what a wall-clock profiler
 // interrupting every P cycles would have observed.
 //
-// The simulator's baton protocol runs one simulated thread at a time,
+// The simulator's scheduler loop runs one simulated thread at a time,
 // so the profiler needs no locking even though it is shared by every
 // thread.
 type Profiler struct {

@@ -21,11 +21,14 @@
 //     lock operations.
 //
 // Threads are ordinary Go functions that receive a *Ctx and call
-// Ctx.Advance, Ctx.Read/Write, Ctx.Lock/Unlock and so on. The engine
-// executes exactly one thread at a time (a baton protocol over channels)
-// and always steps the runnable thread with the smallest virtual clock,
-// which makes every simulation fully deterministic and independent of the
-// host machine.
+// Ctx.Advance, Ctx.Read/Write, Ctx.Lock/Unlock and so on. Each runs on a
+// coroutine (iter.Pull), and Engine.Run is the single scheduler loop:
+// it always resumes the runnable thread with the smallest virtual
+// clock, and the thread yields back to the loop when it blocks, is
+// preempted or finishes. Exactly one thread executes at a time, which
+// makes every simulation fully deterministic and independent of the
+// host machine. A panic in a thread surfaces from Run, and Run stops
+// every suspended coroutine on each exit path.
 //
 // As an optimization the engine grants the running thread a lease: the
 // thread may execute engine calls without yielding while its clock stays

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 )
 
 // Config parameterizes the simulated machine.
@@ -30,10 +29,11 @@ type Config struct {
 	// recorder interested only in lock traffic pays nothing for the
 	// (much noisier) cache events.
 	TraceMask Mask
-	// linearScan selects the pre-heap reference scheduler: a linear
-	// scan over all threads per event and no lease self-renewal. It
-	// exists so tests can verify the heap scheduler is behaviorally
-	// identical; it is unexported because nothing else should use it.
+	// linearScan makes the scheduler loop pick threads by a linear
+	// scan over all threads instead of the ready heap, with no lease
+	// self-renewal. It exists so tests can verify the heap is
+	// behaviorally identical; it is unexported because nothing else
+	// should use it.
 	linearScan bool
 }
 
@@ -74,22 +74,15 @@ type Engine struct {
 	// increment equals the scan's answer at all times.
 	maxClock int64
 
-	// idleWorkers is the free list of pooled goroutines (heap scheduler
-	// only). Exactly one goroutine holds the baton at any moment and
-	// only the baton holder touches engine state, so no lock is needed.
-	idleWorkers    []*worker
-	workersSpawned int64
-	workersReused  int64
+	// coros is every coroutine the engine has created; idleCoros is
+	// the subset parked between threads, ready to be reused.
+	coros       []*coro
+	idleCoros   []*coro
+	corosReused int64
 
-	yieldCh  chan struct{}
-	engineCh chan struct{} // wakes Run: completion, deadlock, or panic
-
-	started          bool
-	deadlocked       bool
-	threadPanic      any
-	threadPanicStack []byte
-	tracer           Tracer
-	traceMask        Mask
+	started   bool
+	tracer    Tracer
+	traceMask Mask
 
 	// Mutexes registers every mutex created on this engine so that Run
 	// can report per-lock statistics and deadlocks can be diagnosed.
@@ -100,8 +93,8 @@ type Engine struct {
 	waitgroups []*WaitGroup
 
 	// atomics holds the value of every simulated atomic cell, keyed by
-	// byte address (see atomic.go). Lazily allocated; only the baton
-	// holder touches it, so no host locking is needed.
+	// byte address (see atomic.go). Lazily allocated; only the running
+	// thread touches it, so no host locking is needed.
 	atomics map[uint64]int64
 }
 
@@ -115,8 +108,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		cost:      cfg.Cost,
-		yieldCh:   make(chan struct{}),
-		engineCh:  make(chan struct{}, 1),
 		tracer:    cfg.Tracer,
 		traceMask: mask,
 	}
@@ -168,103 +159,28 @@ func (e *Engine) Go(name string, fn func(*Ctx)) *Thread {
 
 // Run executes the simulation until every thread completes and returns
 // the makespan (the largest completion time). It panics on deadlock,
-// printing the lock graph.
+// printing the lock graph, and re-raises a simulated thread's panic.
 //
-// With the heap scheduler the engine goroutine only bootstraps the
-// first dispatch and then parks: every subsequent scheduling event is a
-// direct peer-to-peer baton handoff — the thread that yields, blocks or
-// completes pops the next thread from the ready heap and resumes it
-// itself, one buffered channel send instead of the old
-// thread→engine→thread round-trip (two hops plus an extra goroutine
-// context switch). Run wakes again only for completion, deadlock, or a
-// thread panic.
+// Run is the scheduler: a loop on the caller's goroutine that picks the
+// next thread by (clock, slot) and resumes its coroutine until the
+// thread blocks, is preempted or finishes. On every exit path it stops
+// the coroutines still suspended, so a failed run leaks no goroutine.
 func (e *Engine) Run() int64 {
 	if e.started {
 		panic("sim: Run called twice")
 	}
 	e.started = true
-	if e.cfg.linearScan {
-		return e.runCentral()
-	}
 	for _, t := range e.threads {
 		if t.state == stateReady {
 			e.live++
 			e.running++
-			e.ready.push(t)
+			e.enqueue(t)
 			e.trace(t, EvThreadStart, t.name)
 		}
 	}
-	if e.live == 0 {
-		return e.Makespan()
-	}
-	e.dispatchNext()
-	<-e.engineCh
-	e.rethrowThreadPanic()
-	if e.deadlocked {
-		panic(e.deadlockReport())
-	}
-	e.shutdownWorkers()
-	return e.Makespan()
-}
-
-// dispatchNext hands the baton to the next runnable thread. It is
-// called by whichever goroutine currently holds the baton (a thread
-// that is parking, a worker retiring a finished thread, or Run at
-// bootstrap), so it has exclusive access to engine state. An empty
-// ready queue here means no thread can make progress: Run is woken to
-// report the deadlock.
-func (e *Engine) dispatchNext() {
-	n := e.ready.pop()
-	if n == nil {
-		e.deadlocked = true
-		e.engineCh <- struct{}{}
-		return
-	}
-	n.state = stateRunning
-	if e.cfg.Exact {
-		n.lease = math.MinInt64 // always yield
-	} else if p := e.ready.peek(); p != nil {
-		n.lease = p.clock
-	} else {
-		n.lease = math.MaxInt64
-	}
-	if n.w == nil {
-		e.bindWorker(n)
-	}
-	n.resume <- struct{}{}
-}
-
-// rethrowThreadPanic re-raises a captured thread panic on the caller's
-// goroutine. Go runtime errors (nil derefs, index range) would
-// otherwise lose the stack of the simulated thread in the hop, so
-// attach it; typed panic values pass through untouched so callers can
-// recover their own sentinels.
-func (e *Engine) rethrowThreadPanic() {
-	if e.threadPanic == nil {
-		return
-	}
-	if _, isRuntime := e.threadPanic.(runtime.Error); isRuntime {
-		panic(fmt.Sprintf("%v\n\n[simulated-thread stack]\n%s", e.threadPanic, e.threadPanicStack))
-	}
-	panic(e.threadPanic)
-}
-
-// runCentral is the pre-handoff reference scheduler used only with
-// linearScan: a central loop that picks the minimum-clock thread by
-// scanning and round-trips through the engine goroutine on every
-// event. The equivalence tests pin the direct-handoff scheduler to it.
-func (e *Engine) runCentral() int64 {
-	for _, t := range e.threads {
-		if t.state == stateReady {
-			e.live++
-			e.running++
-			e.trace(t, EvThreadStart, t.name)
-			t.resume = make(chan struct{})
-			go t.runLoop()
-		}
-	}
+	defer e.stopCoros()
 	for e.live > 0 {
-		t, lease := e.pickMin()
+		t, lease := e.pick()
 		if t == nil {
 			panic(e.deadlockReport())
 		}
@@ -274,17 +190,37 @@ func (e *Engine) runCentral() int64 {
 		} else {
 			t.lease = lease
 		}
-		t.resume <- struct{}{}
-		<-e.yieldCh
-		e.rethrowThreadPanic()
+		if t.co == nil {
+			e.bindCoro(t)
+		}
+		t.co.next()
+		if t.state == stateDone {
+			e.idleCoros = append(e.idleCoros, t.co)
+			t.co = nil
+		}
 	}
 	return e.Makespan()
 }
 
+// pick removes the next thread to run from the ready queue and returns
+// it with the clock of the runner-up, which bounds its lease; nil when
+// no thread is runnable.
+func (e *Engine) pick() (*Thread, int64) {
+	if e.cfg.linearScan {
+		return e.pickMin()
+	}
+	t := e.ready.pop()
+	if n := e.ready.peek(); n != nil {
+		return t, n.clock
+	}
+	return t, math.MaxInt64
+}
+
 // pickMin selects the ready thread with the smallest clock (ties broken
 // by slot) and the clock of the runner-up, which bounds the winner's
-// lease. It is the linear-scan reference scheduler, kept only for the
-// equivalence tests that pin the heap scheduler to it.
+// lease. It is the linear-scan reference for the ready heap, selected
+// by linearScan and kept only for the equivalence tests that pin the
+// heap to it.
 func (e *Engine) pickMin() (*Thread, int64) {
 	var best *Thread
 	second := int64(math.MaxInt64)

@@ -164,9 +164,9 @@ func TestMakespanMidRun(t *testing.T) {
 }
 
 // TestWorkerPoolRecycles verifies that short-lived simulated threads
-// reuse pooled goroutines instead of spawning one each: a churn of
-// sequentially-overlapping children must be served by a bounded worker
-// set.
+// reuse pooled coroutines instead of creating one each: a churn of
+// sequentially-overlapping children must be served by a bounded
+// coroutine set.
 func TestWorkerPoolRecycles(t *testing.T) {
 	e := New(Config{Processors: 4})
 	const churn = 2000
@@ -179,15 +179,16 @@ func TestWorkerPoolRecycles(t *testing.T) {
 		}
 	})
 	e.Run()
-	if e.workersSpawned+e.workersReused == 0 {
-		t.Fatal("no workers were ever bound")
+	spawned := int64(len(e.coros))
+	if spawned+e.corosReused == 0 {
+		t.Fatal("no coroutines were ever bound")
 	}
-	if e.workersSpawned > churn/10 {
-		t.Errorf("spawned %d workers for %d threads; pool is not recycling (reused %d)",
-			e.workersSpawned, churn, e.workersReused)
+	if spawned > churn/10 {
+		t.Errorf("spawned %d coroutines for %d threads; pool is not recycling (reused %d)",
+			spawned, churn, e.corosReused)
 	}
-	if e.workersReused < churn/2 {
-		t.Errorf("only %d of %d threads reused a pooled worker", e.workersReused, churn)
+	if e.corosReused < churn/2 {
+		t.Errorf("only %d of %d threads reused a pooled coroutine", e.corosReused, churn)
 	}
 }
 
