@@ -1,7 +1,10 @@
 package amplify
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -928,5 +931,21 @@ func TestCLITraceStdin(t *testing.T) {
 	cmd.Stdin = strings.NewReader("not a trace")
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("mcctrace analyze - accepted garbage:\n%s", out)
+	}
+
+	// Hostile sizes are a clean exit 1 with a trace error, not a panic
+	// (exit 2) from inside the simulated allocator.
+	for name, ev := range map[string]alloctrace.Event{
+		"2^62":     {Op: alloctrace.OpAlloc, Req: 1 << 62, Granted: 1 << 62},
+		"MaxInt64": {Op: alloctrace.OpAlloc, Req: math.MaxInt64, Granted: math.MaxInt64},
+	} {
+		tr := &alloctrace.Trace{Name: "hostile", Sites: []string{""}, Threads: []string{"t0"}, Events: []alloctrace.Event{ev, ev}}
+		cmd = exec.Command(filepath.Join(bin, "mcctrace"), "replay", "-")
+		cmd.Stdin = bytes.NewReader(tr.Encode())
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "above the") {
+			t.Errorf("mcctrace replay - on a %s request: %v\n%s", name, err, out)
+		}
 	}
 }

@@ -135,44 +135,87 @@ func (tr *Trace) Stats() Stats {
 	return s
 }
 
+// MaxRequest caps one event's requested and granted bytes (1 TiB). The
+// committed corpora stay below 10 KiB; the cap keeps a hostile trace
+// from handing the simulated allocators sizes whose page rounding or
+// accounting would overflow.
+const MaxRequest = 1 << 40
+
+// MaxTraceBytes caps the cumulative requested and granted bytes of a
+// whole trace (1 PiB), so Stats, the replayed allocators' counters and
+// the simulated footprint — each at most a small multiple of it — can
+// never wrap.
+const MaxTraceBytes = 1 << 50
+
+// Error is the typed error Decode and Validate return for malformed or
+// hostile input. Event is the offending event index, or -1 when the
+// fault lies in the header or the tables.
+type Error struct {
+	Event int64
+	Msg   string
+}
+
+func (e *Error) Error() string {
+	if e.Event < 0 {
+		return "alloctrace: " + e.Msg
+	}
+	return fmt.Sprintf("alloctrace: event %d: %s", e.Event, e.Msg)
+}
+
+func eventErr(i int, format string, args ...any) error {
+	return &Error{Event: int64(i), Msg: fmt.Sprintf(format, args...)}
+}
+
 // Validate checks the structural invariants replay and analytics rely
-// on: thread and site indices in range, positive request sizes, every
-// free back-referencing an earlier alloc event on some thread, and no
-// double frees. It returns the first violation found.
+// on: thread and site indices in range, request sizes in (0,
+// MaxRequest], cumulative bytes within MaxTraceBytes, every free
+// back-referencing an earlier alloc event on some thread, and no
+// double frees. It returns the first violation found as an *Error.
 func (tr *Trace) Validate() error {
 	if len(tr.Sites) == 0 || tr.Sites[0] != "" {
-		return fmt.Errorf("alloctrace: Sites[0] must be the empty unknown site")
+		return &Error{Event: -1, Msg: "Sites[0] must be the empty unknown site"}
 	}
-	freed := make(map[int64]bool)
+	freed := make([]bool, len(tr.Events)) // alloc event index -> already freed
+	var grantedTotal int64
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if int(ev.Thread) < 0 || int(ev.Thread) >= len(tr.Threads) {
-			return fmt.Errorf("alloctrace: event %d: thread %d out of range [0,%d)", i, ev.Thread, len(tr.Threads))
+			return eventErr(i, "thread %d out of range [0,%d)", ev.Thread, len(tr.Threads))
 		}
 		switch ev.Op {
 		case OpAlloc:
 			if int(ev.Site) < 0 || int(ev.Site) >= len(tr.Sites) {
-				return fmt.Errorf("alloctrace: event %d: site %d out of range [0,%d)", i, ev.Site, len(tr.Sites))
+				return eventErr(i, "site %d out of range [0,%d)", ev.Site, len(tr.Sites))
 			}
 			if ev.Req <= 0 {
-				return fmt.Errorf("alloctrace: event %d: non-positive request size %d", i, ev.Req)
+				return eventErr(i, "non-positive request size %d", ev.Req)
 			}
 			if ev.Granted < ev.Req {
-				return fmt.Errorf("alloctrace: event %d: granted %d < requested %d", i, ev.Granted, ev.Req)
+				return eventErr(i, "granted %d < requested %d", ev.Granted, ev.Req)
+			}
+			if ev.Granted > MaxRequest {
+				return eventErr(i, "request %d (granted %d) above the %d-byte cap", ev.Req, ev.Granted, int64(MaxRequest))
+			}
+			// Granted bounds Req, and the running total stays at most
+			// MaxTraceBytes while each addend is at most MaxRequest, so
+			// the sum itself cannot overflow.
+			grantedTotal += ev.Granted
+			if grantedTotal > MaxTraceBytes {
+				return eventErr(i, "cumulative trace bytes above the %d-byte cap", int64(MaxTraceBytes))
 			}
 		case OpFree:
 			if ev.AllocSeq < 0 || ev.AllocSeq >= int64(i) {
-				return fmt.Errorf("alloctrace: event %d: free back-reference %d not an earlier event", i, ev.AllocSeq)
+				return eventErr(i, "free back-reference %d not an earlier event", ev.AllocSeq)
 			}
 			if tr.Events[ev.AllocSeq].Op != OpAlloc {
-				return fmt.Errorf("alloctrace: event %d: free back-reference %d is not an alloc", i, ev.AllocSeq)
+				return eventErr(i, "free back-reference %d is not an alloc", ev.AllocSeq)
 			}
 			if freed[ev.AllocSeq] {
-				return fmt.Errorf("alloctrace: event %d: double free of alloc %d", i, ev.AllocSeq)
+				return eventErr(i, "double free of alloc %d", ev.AllocSeq)
 			}
 			freed[ev.AllocSeq] = true
 		default:
-			return fmt.Errorf("alloctrace: event %d: unknown op %d", i, ev.Op)
+			return eventErr(i, "unknown op %d", ev.Op)
 		}
 	}
 	return nil

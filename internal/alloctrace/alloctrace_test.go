@@ -2,9 +2,16 @@ package alloctrace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+
+	"amplify/internal/mem"
 )
 
 // sample builds a small hand-written trace exercising every feature:
@@ -45,6 +52,23 @@ func TestValidateRejections(t *testing.T) {
 		{"forward free ref", func(tr *Trace) { tr.Events[2].AllocSeq = 4 }, "not an earlier event"},
 		{"free ref to free", func(tr *Trace) { tr.Events[3].AllocSeq = 2 }, "is not an alloc"},
 		{"double free", func(tr *Trace) { tr.Events[3].AllocSeq = 0 }, "double free"},
+		// Two 2^62-byte allocs once wrapped Stats().ReqBytes, HeapInfo.
+		// ReqBytes and the footprint of every allocator to ≈ -9.2e18.
+		{"two 2^62-byte allocs", func(tr *Trace) {
+			for _, i := range []int{0, 4} {
+				tr.Events[i].Req, tr.Events[i].Granted = 1<<62, 1<<62
+			}
+		}, "above the 1099511627776-byte cap"},
+		// A MaxInt64 request once panicked inside mem.Sbrk on replay.
+		{"MaxInt64 request", func(tr *Trace) {
+			tr.Events[1].Req, tr.Events[1].Granted = math.MaxInt64, math.MaxInt64
+		}, "event 1: request 9223372036854775807"},
+		{"granted above cap", func(tr *Trace) { tr.Events[0].Granted = MaxRequest + 1 }, "above the 1099511627776-byte cap"},
+		{"cumulative bytes above cap", func(tr *Trace) {
+			for range MaxTraceBytes / MaxRequest {
+				tr.Events = append(tr.Events, Event{Op: OpAlloc, Req: MaxRequest, Granted: MaxRequest})
+			}
+		}, "event 1028: cumulative trace bytes"},
 	}
 	for _, tc := range cases {
 		tr := sample()
@@ -53,6 +77,25 @@ func TestValidateRejections(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
+		var typed *Error
+		if !errors.As(err, &typed) {
+			t.Errorf("%s: %T is not an *alloctrace.Error", tc.name, err)
+		}
+	}
+}
+
+// TestValidateAcceptsCaps: a trace at exactly the per-request and
+// cumulative caps is valid, and its Stats do not wrap.
+func TestValidateAcceptsCaps(t *testing.T) {
+	tr := &Trace{Name: "caps", Sites: []string{""}, Threads: []string{"t0"}}
+	for range MaxTraceBytes / MaxRequest {
+		tr.Events = append(tr.Events, Event{Op: OpAlloc, Req: MaxRequest, Granted: MaxRequest})
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("trace at the caps rejected: %v", err)
+	}
+	if s := tr.Stats(); s.ReqBytes != MaxTraceBytes || s.GrantedBytes != MaxTraceBytes || s.PeakLiveBytes != MaxTraceBytes {
+		t.Fatalf("Stats at the caps = %+v, want %d bytes", s, int64(MaxTraceBytes))
 	}
 }
 
@@ -104,6 +147,93 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := Decode(bad); err == nil {
 		t.Error("bad magic decoded without error")
+	}
+}
+
+// hugeCountHeader returns a trace whose header is well formed up to
+// one table or event count that claims 2^62 entries, followed by pad
+// bytes of plausible event payload.
+func hugeCountHeader(which string, pad int) []byte {
+	b := append([]byte(Magic), 0) // empty name
+	count := func(n uint64) { b = binary.AppendUvarint(b, n) }
+	switch which {
+	case "sites":
+		count(1 << 62)
+	case "threads":
+		count(1)
+		b = append(b, 0)
+		count(1 << 62)
+	case "events":
+		count(1)
+		b = append(b, 0)
+		count(1)
+		b = appendString(b, "t0")
+		count(1 << 62)
+	}
+	return append(b, make([]byte, pad)...)
+}
+
+// TestDecodeCapacityGuard: a short input whose header claims 2^62
+// entries is rejected with a typed error, and Decode allocates no more
+// than a small multiple of the input's length on the way.
+func TestDecodeCapacityGuard(t *testing.T) {
+	for _, which := range []string{"sites", "threads", "events"} {
+		data := hugeCountHeader(which, 1024)
+		_, err := Decode(data)
+		var typed *Error
+		if !errors.As(err, &typed) || !strings.Contains(err.Error(), which[:len(which)-1]+" count") {
+			t.Fatalf("%s: Decode = %v, want an *Error naming the %s count", which, err, which)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range runs {
+			Decode(data)
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+		if limit := uint64(4 * len(data)); perCall > limit {
+			t.Errorf("%s: Decode of a %d-byte hostile header allocated %d bytes per call, limit %d",
+				which, len(data), perCall, limit)
+		}
+	}
+}
+
+// TestDecodeRejectsWideIndices: thread and site indices are int32 in
+// memory; a wider varint must not truncate into a valid index.
+func TestDecodeRejectsWideIndices(t *testing.T) {
+	data := (&Trace{Name: "wide", Sites: []string{""}, Threads: []string{"t0"}}).Encode()
+	data = data[:len(data)-1]             // drop the zero event count
+	data = append(data, 1, byte(OpAlloc)) // one event: an alloc
+	data = binary.AppendUvarint(data, 1<<32)
+	data = append(data, 0, 0, 16, 16) // time delta, site, req, granted
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "thread index") {
+		t.Fatalf("Decode of a 2^32 thread index = %v, want a thread index error", err)
+	}
+}
+
+// TestRecorderThreadSlots: the recorder interns sparse, out-of-order
+// simulated thread slots as t0, t1, t2 in first-event order.
+func TestRecorderThreadSlots(t *testing.T) {
+	r := NewRecorder("slots")
+	for i, slot := range []int{7, 0, 1000, 7} {
+		r.ObserveAlloc(int64(i), slot, 16, 16, mem.Ref(0x1000*(i+1)))
+	}
+	r.ObserveFree(9, 1000, 16, mem.Ref(0x1000))
+	tr := r.Trace()
+	if got := fmt.Sprint(tr.Threads); got != "[t0 t1 t2]" {
+		t.Fatalf("Threads = %s, want [t0 t1 t2]", got)
+	}
+	var got []int32
+	for _, ev := range tr.Events {
+		got = append(got, ev.Thread)
+	}
+	if fmt.Sprint(got) != "[0 1 2 0 2]" {
+		t.Fatalf("event threads = %v, want [0 1 2 0 2]", got)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("recorded trace invalid: %v", err)
 	}
 }
 

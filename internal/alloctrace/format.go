@@ -3,6 +3,7 @@ package alloctrace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -19,7 +20,10 @@ const Magic = "AMPTRC1\n"
 // distance to the alloc event. The bytes are a pure function of the
 // trace: byte-identical captures encode byte-identically.
 func (tr *Trace) Encode() []byte {
-	var b []byte
+	// Reserve the typical event size up front (committed corpora run
+	// ~6 bytes per event, recaptures a little more) so long traces are
+	// not copied through append's growth steps.
+	b := make([]byte, 0, len(Magic)+64+8*len(tr.Events))
 	b = append(b, Magic...)
 	b = appendString(b, tr.Name)
 	b = binary.AppendUvarint(b, uint64(len(tr.Sites)))
@@ -50,49 +54,62 @@ func (tr *Trace) Encode() []byte {
 	return b
 }
 
-// Decode parses a binary trace and validates it.
+// minEventBytes is the smallest encoded event: a free's op byte and
+// three one-byte varints (thread, timestamp delta, back-reference).
+const minEventBytes = 4
+
+// Decode parses a binary trace and validates it. Table and event counts
+// are checked against the bytes left before anything is reserved, so a
+// hostile header cannot make Decode allocate more than its input could
+// fill. Every failure is an *Error.
 func Decode(data []byte) (*Trace, error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("alloctrace: bad magic (want %q)", Magic)
+		return nil, &Error{Event: -1, Msg: fmt.Sprintf("bad magic (want %q)", Magic)}
 	}
 	d := decoder{buf: data[len(Magic):]}
 	tr := &Trace{}
 	tr.Name = d.str("name")
-	nsites := d.uvarint("site count")
-	for i := uint64(0); i < nsites && d.err == nil; i++ {
+	// Every string costs at least its one-byte length prefix.
+	nsites := d.count("site", 1)
+	tr.Sites = make([]string, 0, nsites)
+	for i := 0; i < nsites && d.err == nil; i++ {
 		tr.Sites = append(tr.Sites, d.str("site"))
 	}
-	nthreads := d.uvarint("thread count")
-	for i := uint64(0); i < nthreads && d.err == nil; i++ {
+	nthreads := d.count("thread", 1)
+	tr.Threads = make([]string, 0, nthreads)
+	for i := 0; i < nthreads && d.err == nil; i++ {
 		tr.Threads = append(tr.Threads, d.str("thread"))
 	}
-	nevents := d.uvarint("event count")
+	nevents := d.count("event", minEventBytes)
+	if d.err != nil {
+		return nil, d.err
+	}
+	tr.Events = make([]Event, nevents)
 	var prevNow int64
-	for i := uint64(0); i < nevents && d.err == nil; i++ {
-		var ev Event
+	for i := range tr.Events {
+		ev := &tr.Events[i]
 		ev.Op = Op(d.byte("op"))
-		ev.Thread = int32(d.uvarint("thread index"))
+		ev.Thread = d.index("thread index")
 		prevNow += d.varint("timestamp delta")
 		ev.Now = prevNow
 		switch ev.Op {
 		case OpAlloc:
-			ev.Site = int32(d.uvarint("site index"))
+			ev.Site = d.index("site index")
 			ev.Req = int64(d.uvarint("req bytes"))
 			ev.Granted = int64(d.uvarint("granted bytes"))
 		case OpFree:
 			ev.AllocSeq = int64(i) - int64(d.uvarint("free back-reference"))
 		default:
 			if d.err == nil {
-				return nil, fmt.Errorf("alloctrace: event %d: unknown op %d", i, ev.Op)
+				return nil, eventErr(i, "unknown op %d", ev.Op)
 			}
 		}
-		tr.Events = append(tr.Events, ev)
-	}
-	if d.err != nil {
-		return nil, d.err
+		if d.err != nil {
+			return nil, d.err
+		}
 	}
 	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("alloctrace: %d trailing bytes after last event", len(d.buf))
+		return nil, &Error{Event: -1, Msg: fmt.Sprintf("%d trailing bytes after last event", len(d.buf))}
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -108,8 +125,32 @@ type decoder struct {
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("alloctrace: truncated or corrupt %s field", what)
+		d.err = &Error{Event: -1, Msg: fmt.Sprintf("truncated or corrupt %s field", what)}
 	}
+}
+
+// count reads a table or event count and rejects one that the
+// remaining bytes cannot hold at minBytes per entry.
+func (d *decoder) count(what string, minBytes int) int {
+	n := d.uvarint(what + " count")
+	if d.err != nil {
+		return 0
+	}
+	if limit := uint64(len(d.buf) / minBytes); n > limit {
+		d.err = &Error{Event: -1, Msg: fmt.Sprintf("%s count %d exceeds the %d remaining bytes at %d or more per entry", what, n, len(d.buf), minBytes)}
+		return 0
+	}
+	return int(n)
+}
+
+// index reads a thread or site table index, which must fit an int32.
+func (d *decoder) index(what string) int32 {
+	v := d.uvarint(what)
+	if v > math.MaxInt32 {
+		d.fail(what)
+		return 0
+	}
+	return int32(v)
 }
 
 func (d *decoder) byte(what string) byte {

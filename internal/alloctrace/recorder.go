@@ -2,6 +2,7 @@ package alloctrace
 
 import (
 	"fmt"
+	"slices"
 
 	"amplify/internal/alloc"
 	"amplify/internal/mem"
@@ -25,7 +26,7 @@ type Recorder struct {
 	Name string
 
 	sites     map[string]int32
-	threadIdx map[int]int32
+	threadIdx []int32           // thread slot -> trace thread index + 1; 0 = not seen yet
 	liveSeq   map[mem.Ref]int64 // live block -> its alloc event index
 	tr        Trace
 
@@ -38,10 +39,9 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder(name string) *Recorder {
 	r := &Recorder{
-		Name:      name,
-		sites:     map[string]int32{"": 0},
-		threadIdx: make(map[int]int32),
-		liveSeq:   make(map[mem.Ref]int64),
+		Name:    name,
+		sites:   map[string]int32{"": 0},
+		liveSeq: make(map[mem.Ref]int64),
 	}
 	r.tr.Name = name
 	r.tr.Sites = []string{""}
@@ -56,7 +56,7 @@ func (r *Recorder) Observe(now int64, op alloc.ObsOp, bytes int64) {}
 // ObserveAlloc implements alloc.TraceObserver.
 func (r *Recorder) ObserveAlloc(now int64, thread int, req, granted int64, ref mem.Ref) {
 	r.liveSeq[ref] = int64(len(r.tr.Events))
-	r.tr.Events = append(r.tr.Events, Event{
+	r.push(Event{
 		Op:      OpAlloc,
 		Thread:  r.thread(thread),
 		Now:     now,
@@ -73,7 +73,7 @@ func (r *Recorder) ObserveFree(now int64, thread int, granted int64, ref mem.Ref
 		return
 	}
 	delete(r.liveSeq, ref) // the allocator may recycle the ref
-	r.tr.Events = append(r.tr.Events, Event{
+	r.push(Event{
 		Op:       OpFree,
 		Thread:   r.thread(thread),
 		Now:      now,
@@ -81,14 +81,30 @@ func (r *Recorder) ObserveFree(now int64, thread int, granted int64, ref mem.Ref
 	})
 }
 
+// push appends one event, doubling the buffer when it is full: append
+// alone grows large slices by ~1.25x and would copy every event of a
+// long capture several times over.
+func (r *Recorder) push(ev Event) {
+	if n := len(r.tr.Events); n == cap(r.tr.Events) {
+		r.tr.Events = slices.Grow(r.tr.Events, max(n, 256))
+	}
+	r.tr.Events = append(r.tr.Events, ev)
+}
+
 // thread interns a simulated thread slot, naming threads "t0", "t1", …
 // in first-event order (deterministic: the simulation's event order is).
+// Slots are the engine's dense thread indices, so a slice indexed by
+// slot replaces a map.
 func (r *Recorder) thread(slot int) int32 {
-	if idx, ok := r.threadIdx[slot]; ok {
-		return idx
+	if slot < len(r.threadIdx) {
+		if idx := r.threadIdx[slot]; idx != 0 {
+			return idx - 1
+		}
+	} else {
+		r.threadIdx = append(r.threadIdx, make([]int32, slot+1-len(r.threadIdx))...)
 	}
 	idx := int32(len(r.tr.Threads))
-	r.threadIdx[slot] = idx
+	r.threadIdx[slot] = idx + 1
 	r.tr.Threads = append(r.tr.Threads, fmt.Sprintf("t%d", idx))
 	return idx
 }

@@ -60,7 +60,9 @@ func ReplayStrategies() []string {
 	return []string{"serial", "ptmalloc", "hoard", "smartheap", "lkmalloc", "lfalloc"}
 }
 
-// RunReplay drives cfg.Trace through the named allocator.
+// RunReplay drives cfg.Trace through the named allocator. A trace that
+// fails Validate is returned as its *alloctrace.Error before anything
+// is simulated.
 //
 // Ordering semantics: per-thread capture order is program order, so
 // same-thread lifetimes need no synchronization. Every allocation whose
@@ -87,17 +89,6 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 		cfg.Processors = 8
 	}
 
-	// Partition the stream per thread and gate cross-thread lifetimes.
-	perThread := make([][]int32, len(tr.Threads))
-	crossFreed := make(map[int64]bool)
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		perThread[ev.Thread] = append(perThread[ev.Thread], int32(i))
-		if ev.Op == alloctrace.OpFree && tr.Events[ev.AllocSeq].Thread != ev.Thread {
-			crossFreed[ev.AllocSeq] = true
-		}
-	}
-
 	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer, TraceMask: cfg.TraceMask})
 	sp := mem.NewSpace()
 	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: len(tr.Threads), Observer: cfg.HeapObserver})
@@ -106,11 +97,27 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 	}
 	watchHeap(cfg.HeapObserver, sp, a, nil)
 
-	gates := make(map[int64]*sim.WaitGroup, len(crossFreed))
-	for idx := range crossFreed {
-		g := e.NewWaitGroup()
-		g.Add(1)
-		gates[idx] = g
+	// Partition the stream per thread, sized by a counting pass, and
+	// gate every alloc whose free lands on another thread. Validate has
+	// range-checked every index used here, so all of it is slice
+	// addressing by event index.
+	counts := make([]int, len(tr.Threads))
+	for i := range tr.Events {
+		counts[tr.Events[i].Thread]++
+	}
+	perThread := make([][]int32, len(tr.Threads))
+	for ti, n := range counts {
+		perThread[ti] = make([]int32, 0, n)
+	}
+	gates := make([]*sim.WaitGroup, len(tr.Events)) // alloc event index -> cross-thread gate
+	for i := range tr.Events {
+		ev := &tr.Events[i]
+		perThread[ev.Thread] = append(perThread[ev.Thread], int32(i))
+		if ev.Op == alloctrace.OpFree && tr.Events[ev.AllocSeq].Thread != ev.Thread {
+			g := e.NewWaitGroup()
+			g.Add(1)
+			gates[ev.AllocSeq] = g
+		}
 	}
 	refs := make([]mem.Ref, len(tr.Events)) // alloc event index -> replayed block
 
@@ -132,7 +139,7 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 						r := a.Alloc(cc, ev.Req)
 						refs[idx] = r
 						cc.Write(uint64(r), 8)
-						if g := gates[int64(idx)]; g != nil {
+						if g := gates[idx]; g != nil {
 							g.Done(cc)
 						}
 					} else {
