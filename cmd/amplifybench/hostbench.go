@@ -8,7 +8,7 @@ import (
 )
 
 // runHostBench implements -host-bench: run the host-side wall-clock
-// benchmark suite (VM engines, scheduler) and emit the BENCH_host
+// benchmark suite (VM, scheduler) and emit the BENCH_host
 // report on stdout. Unlike the simulation experiments, these numbers
 // are host-dependent by design — they track how fast the simulator
 // itself runs, not what it simulates.

@@ -9,10 +9,9 @@
 //	-alloc s      C-library allocator: serial | ptmalloc | hoard |
 //	              smartheap | lkmalloc | lfalloc; unknown names fail
 //	              fast with the list of registered strategies
-//	-engine e     execution engine: vm (bytecode dispatch loop, default) |
-//	              closure (bytecode compiled to chained Go closures —
-//	              identical simulated results, faster host) | ast
-//	              (tree-walking reference)
+//	-engine e     execution engine: vm (bytecode compiled to chained Go
+//	              closures, default) | ast (tree-walking reference);
+//	              unknown names fail fast
 //	-procs n      simulated processors (default 8)
 //	-amplify      run the Amplify pre-processor before executing
 //	-arrays-only  with -amplify: only shadow data-type arrays
@@ -109,7 +108,7 @@ func main() {
 func run(args []string) (int, error) {
 	fs := flag.NewFlagSet("mccrun", flag.ExitOnError)
 	allocName := fs.String("alloc", "serial", "allocator: serial | ptmalloc | hoard | smartheap | lkmalloc | lfalloc")
-	engine := fs.String("engine", "vm", "execution engine: vm (bytecode dispatch loop) | closure (bytecode compiled to chained Go closures) | ast (tree-walking)")
+	engine := fs.String("engine", "vm", "execution engine: vm (bytecode compiled to chained Go closures) | ast (tree-walking)")
 	procs := fs.Int("procs", 8, "simulated processors")
 	amplify := fs.Bool("amplify", false, "pre-process with Amplify before running")
 	arraysOnly := fs.Bool("arrays-only", false, "with -amplify: only shadow data arrays")
@@ -143,9 +142,9 @@ func run(args []string) (int, error) {
 		return 0, err
 	}
 	switch *engine {
-	case "vm", "closure", "ast":
+	case "vm", "ast":
 	default:
-		return 0, fmt.Errorf("unknown engine %q (want vm, closure or ast)", *engine)
+		return 0, fmt.Errorf("unknown engine %q (want vm or ast)", *engine)
 	}
 	// The span recorder is nil unless requested; every Start/Set/End
 	// below is a no-op then, so the hot path carries no bookkeeping.
@@ -206,7 +205,7 @@ func run(args []string) (int, error) {
 		{"-record-trace", *recordTrace},
 	} {
 		if f.val != "" && *engine == "ast" {
-			return 0, fmt.Errorf("%s needs -engine vm or closure (the ast engine has no observer hooks)", f.name)
+			return 0, fmt.Errorf("%s needs -engine vm (the ast engine has no observer hooks)", f.name)
 		}
 	}
 	needEvents := *traceOut != "" || *traceJSONL != "" || *profileOut != ""
@@ -245,11 +244,8 @@ func run(args []string) (int, error) {
 		}
 		res = runResult{r.Output, r.ExitCode, r.Makespan, r.Alloc,
 			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
-	case "vm", "closure":
+	case "vm":
 		vcfg := vm.Config{Processors: *procs, Strategy: *allocName, NoOpt: *noOpt, Spans: spans}
-		if *engine == "closure" {
-			vcfg.Engine = "closure"
-		}
 		if rec != nil {
 			vcfg.Tracer = rec
 		}
@@ -285,7 +281,7 @@ func run(args []string) (int, error) {
 		res = runResult{r.Output, r.ExitCode, r.Makespan, r.Alloc,
 			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
 	default:
-		return 0, fmt.Errorf("unknown engine %q (want vm, closure or ast)", *engine)
+		return 0, fmt.Errorf("unknown engine %q (want vm or ast)", *engine)
 	}
 	root.End()
 	if rec != nil && *trace > 0 {

@@ -58,12 +58,6 @@ type Runner struct {
 	// roster. Names must be registered alloc strategies (the
 	// amplifybench -alloc flag validates before setting this).
 	ContendAllocs []string
-	// Engine selects the VM execution engine for those same
-	// experiments: "" or "switch" for the dispatch-loop interpreter,
-	// "closure" for the closure-compiled backend. Like VMNoOpt it must
-	// never change simulated results — CI runs the corpus under both
-	// engines and diffs the makespans exactly.
-	Engine string
 
 	quick bool
 	cells cellStore

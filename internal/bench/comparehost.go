@@ -10,12 +10,10 @@ import (
 // baseline (BENCH_host.json). Unlike Compare, everything here is a
 // host wall-clock measurement — noisy by construction — so the
 // threshold is expected to be generous (tens of percent, not zero):
-// the gate exists to catch order-of-magnitude engine regressions, not
+// the gate exists to catch order-of-magnitude host regressions, not
 // single-digit drift. NsPerOp and AllocsPerOp are compared per
-// benchmark name; lower is better for both. Ratios are informational
-// only (they are quotients of the compared numbers). Benchmarks
-// present in only one report are tolerated and counted, like cells in
-// Compare.
+// benchmark name; lower is better for both. Benchmarks present in only
+// one report are tolerated and counted, like cells in Compare.
 func CompareHost(baseline, current *HostReport, thresholdPct float64) (*Comparison, error) {
 	for _, r := range []*HostReport{baseline, current} {
 		if !strings.HasPrefix(r.Schema, "amplify-hostbench/") {

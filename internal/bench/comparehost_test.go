@@ -7,7 +7,7 @@ import (
 
 func hostReport(ns map[string]int64) *HostReport {
 	rep := &HostReport{Schema: HostBenchSchema, GoVersion: "go1.23", HostCPUs: 8}
-	for _, name := range []string{"vm/arith_loop/switch", "vm/arith_loop/closure", "sched/spawn_churn_50k"} {
+	for _, name := range []string{"vm/method_calls", "vm/arith_loop", "sched/spawn_churn_50k"} {
 		if v, ok := ns[name]; ok {
 			rep.Benchmarks = append(rep.Benchmarks, HostBenchmark{Name: name, NsPerOp: v, AllocsPerOp: 100})
 		}
@@ -20,11 +20,11 @@ func hostReport(ns map[string]int64) *HostReport {
 // records improvements.
 func TestCompareHostThresholds(t *testing.T) {
 	base := hostReport(map[string]int64{
-		"vm/arith_loop/switch": 1_000_000, "vm/arith_loop/closure": 500_000, "sched/spawn_churn_50k": 2_000_000})
+		"vm/method_calls": 1_000_000, "vm/arith_loop": 500_000, "sched/spawn_churn_50k": 2_000_000})
 
 	// 30% slower on one benchmark: inside a 50% gate, a note not a failure.
 	drift := hostReport(map[string]int64{
-		"vm/arith_loop/switch": 1_300_000, "vm/arith_loop/closure": 500_000, "sched/spawn_churn_50k": 2_000_000})
+		"vm/method_calls": 1_300_000, "vm/arith_loop": 500_000, "sched/spawn_churn_50k": 2_000_000})
 	c, err := CompareHost(base, drift, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestCompareHostThresholds(t *testing.T) {
 
 	// 2x slower: a real regression even under the generous gate.
 	bad := hostReport(map[string]int64{
-		"vm/arith_loop/switch": 1_000_000, "vm/arith_loop/closure": 1_100_000, "sched/spawn_churn_50k": 2_000_000})
+		"vm/method_calls": 1_000_000, "vm/arith_loop": 1_100_000, "sched/spawn_churn_50k": 2_000_000})
 	c, err = CompareHost(base, bad, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -46,13 +46,13 @@ func TestCompareHostThresholds(t *testing.T) {
 	if !c.Regressed() {
 		t.Error("120% regression passed a 50% gate")
 	}
-	if !strings.Contains(strings.Join(c.Regressions, "\n"), "vm/arith_loop/closure") {
+	if !strings.Contains(strings.Join(c.Regressions, "\n"), "vm/arith_loop") {
 		t.Errorf("regression not attributed:\n%v", c.Regressions)
 	}
 
 	// Faster is an improvement, never a failure.
 	good := hostReport(map[string]int64{
-		"vm/arith_loop/switch": 400_000, "vm/arith_loop/closure": 500_000, "sched/spawn_churn_50k": 2_000_000})
+		"vm/method_calls": 400_000, "vm/arith_loop": 500_000, "sched/spawn_churn_50k": 2_000_000})
 	c, err = CompareHost(base, good, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +65,8 @@ func TestCompareHostThresholds(t *testing.T) {
 // TestCompareHostCoverage: benchmarks present in only one report are
 // counted, and disjoint suites fail rather than pass vacuously.
 func TestCompareHostCoverage(t *testing.T) {
-	base := hostReport(map[string]int64{"vm/arith_loop/switch": 1_000_000, "vm/arith_loop/closure": 500_000})
-	cur := hostReport(map[string]int64{"vm/arith_loop/switch": 1_000_000, "sched/spawn_churn_50k": 2_000_000})
+	base := hostReport(map[string]int64{"vm/method_calls": 1_000_000, "vm/arith_loop": 500_000})
+	cur := hostReport(map[string]int64{"vm/method_calls": 1_000_000, "sched/spawn_churn_50k": 2_000_000})
 	c, err := CompareHost(base, cur, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestCompareHostCoverage(t *testing.T) {
 		t.Errorf("coverage = common %d, onlyOld %d, onlyNew %d", c.Common, c.OnlyOld, c.OnlyNew)
 	}
 
-	disjointBase := hostReport(map[string]int64{"vm/arith_loop/switch": 1})
+	disjointBase := hostReport(map[string]int64{"vm/method_calls": 1})
 	disjointCur := hostReport(map[string]int64{"sched/spawn_churn_50k": 1})
 	c, err = CompareHost(disjointBase, disjointCur, 50)
 	if err != nil {

@@ -160,7 +160,7 @@ func (r *Runner) runEscapeCell(w escWorkload, escape bool) (e2eResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := vm.RunSource(out, vm.Config{NoOpt: r.VMNoOpt, Engine: r.Engine})
+		res, err := vm.RunSource(out, vm.Config{NoOpt: r.VMNoOpt})
 		if err != nil {
 			return nil, err
 		}

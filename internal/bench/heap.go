@@ -87,7 +87,7 @@ func (r *Runner) siteProfile() (folded, table string, err error) {
 		return "", "", err
 	}
 	prof := heapobsv.NewSiteProfile()
-	if _, err := vm.RunSource(amped, vm.Config{HeapProf: prof, Engine: r.Engine}); err != nil {
+	if _, err := vm.RunSource(amped, vm.Config{HeapProf: prof}); err != nil {
 		return "", "", fmt.Errorf("bench: site profile run: %w", err)
 	}
 	return prof.Folded(heapobsv.MetricAllocBytes), prof.Table(), nil

@@ -14,22 +14,19 @@ import (
 // Host benchmarks: wall-clock measurements of the simulator itself,
 // as opposed to the simulated makespans everything else in this
 // package reports. These back the BENCH_host.json trajectory file: a
-// committed snapshot of how fast the host-side machinery (VM engines,
-// scheduler) runs, so engine regressions show up in review even though
+// committed snapshot of how fast the host-side machinery (VM,
+// scheduler) runs, so host regressions show up in review even though
 // they can never change simulated results.
 //
-// Methodology: every engine comparison runs strictly alternating
-// iterations in one process and keeps the per-engine minimum. On a
-// noisy host the minimum of an alternating sequence is the most stable
-// available estimator — means drift with background load, and
-// non-interleaved runs attribute the drift to whichever engine ran
-// second.
+// Methodology: every benchmark keeps the minimum of repeated runs in
+// one process. On a noisy host the minimum is the most stable
+// available estimator — means drift with background load.
 
 // HostBenchSchema identifies the BENCH_host.json layout.
 const HostBenchSchema = "amplify-hostbench/1"
 
 // HostBenchmark is one measurement: the best observed wall time of a
-// named workload on a named engine (or subsystem).
+// named workload.
 type HostBenchmark struct {
 	Name string `json:"name"`
 	// NsPerOp is the minimum observed nanoseconds per operation.
@@ -45,15 +42,12 @@ type HostReport struct {
 	GoVersion  string          `json:"go_version"`
 	HostCPUs   int             `json:"host_cpus"`
 	Benchmarks []HostBenchmark `json:"benchmarks"`
-	// Ratios holds engine-vs-engine headline numbers (switch engine
-	// time divided by closure engine time; >1 means closure is faster).
-	Ratios map[string]float64 `json:"ratios"`
 }
 
-// vmHostSources are the MiniCC programs the engine comparison times.
+// vmHostSources are the MiniCC programs the VM benchmarks time.
 // treeChurn is allocator/cache bound (the paper's test case 2 shape);
-// arithLoop is dispatch bound, isolating what the closure engine
-// removes; methodCalls stresses the call machinery and inline caches.
+// arithLoop is dispatch bound; methodCalls stresses the call machinery
+// and inline caches.
 var vmHostSources = []struct {
 	name string
 	src  string
@@ -113,27 +107,19 @@ int main() {
 }`},
 }
 
-// minAlternating runs the two closures strictly alternating for
-// rounds iterations and returns each one's minimum duration.
-func minAlternating(rounds int, a, b func() error) (time.Duration, time.Duration, error) {
-	minA, minB := time.Duration(1<<62), time.Duration(1<<62)
+// minDuration runs fn rounds times and returns its minimum duration.
+func minDuration(rounds int, fn func() error) (time.Duration, error) {
+	best := time.Duration(1 << 62)
 	for i := 0; i < rounds; i++ {
 		start := time.Now()
-		if err := a(); err != nil {
-			return 0, 0, err
+		if err := fn(); err != nil {
+			return 0, err
 		}
-		if d := time.Since(start); d < minA {
-			minA = d
-		}
-		start = time.Now()
-		if err := b(); err != nil {
-			return 0, 0, err
-		}
-		if d := time.Since(start); d < minB {
-			minB = d
+		if d := time.Since(start); d < best {
+			best = d
 		}
 	}
-	return minA, minB, nil
+	return best, nil
 }
 
 // allocsPerOp measures the mean heap allocations of fn over k runs.
@@ -157,7 +143,6 @@ func HostBench() (*HostReport, error) {
 		Schema:    HostBenchSchema,
 		GoVersion: runtime.Version(),
 		HostCPUs:  runtime.NumCPU(),
-		Ratios:    map[string]float64{},
 	}
 
 	for _, s := range vmHostSources {
@@ -169,36 +154,22 @@ func HostBench() (*HostReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hostbench %s: %w", s.name, err)
 		}
-		run := func(cfg vm.Config) func() error {
-			return func() error {
-				_, err := vm.Run(p, cfg)
-				return err
-			}
+		run := func() error {
+			_, err := vm.Run(p, vm.Config{})
+			return err
 		}
-		// Warm both engines (closure compilation, machine pools).
-		if err := run(vm.Config{})(); err != nil {
+		if err := run(); err != nil { // warm-up
 			return nil, err
 		}
-		if err := run(vm.Config{Engine: "closure"})(); err != nil {
-			return nil, err
-		}
-		sw, cl, err := minAlternating(40, run(vm.Config{}), run(vm.Config{Engine: "closure"}))
+		best, err := minDuration(40, run)
 		if err != nil {
 			return nil, fmt.Errorf("hostbench %s: %w", s.name, err)
 		}
-		swAllocs, err := allocsPerOp(10, run(vm.Config{}))
+		allocs, err := allocsPerOp(10, run)
 		if err != nil {
 			return nil, err
 		}
-		clAllocs, err := allocsPerOp(10, run(vm.Config{Engine: "closure"}))
-		if err != nil {
-			return nil, err
-		}
-		rep.Benchmarks = append(rep.Benchmarks,
-			HostBenchmark{Name: "vm/" + s.name + "/switch", NsPerOp: sw.Nanoseconds(), AllocsPerOp: swAllocs},
-			HostBenchmark{Name: "vm/" + s.name + "/closure", NsPerOp: cl.Nanoseconds(), AllocsPerOp: clAllocs},
-		)
-		rep.Ratios[s.name] = float64(sw) / float64(cl)
+		rep.Benchmarks = append(rep.Benchmarks, HostBenchmark{Name: "vm/" + s.name, NsPerOp: best.Nanoseconds(), AllocsPerOp: allocs})
 	}
 
 	// Scheduler benchmarks: spawn churn (thread creation/retirement
@@ -242,15 +213,9 @@ func HostBench() (*HostReport, error) {
 		if err := sb.run(); err != nil { // warm-up
 			return nil, fmt.Errorf("hostbench %s: %w", sb.name, err)
 		}
-		best := time.Duration(1 << 62)
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			if err := sb.run(); err != nil {
-				return nil, fmt.Errorf("hostbench %s: %w", sb.name, err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+		best, err := minDuration(5, sb.run)
+		if err != nil {
+			return nil, fmt.Errorf("hostbench %s: %w", sb.name, err)
 		}
 		allocs, err := allocsPerOp(3, sb.run)
 		if err != nil {

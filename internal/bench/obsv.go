@@ -169,7 +169,7 @@ func (r *Runner) foldedProfile() (string, error) {
 		return "", err
 	}
 	prof := obsv.NewProfiler()
-	res, err := vm.RunSource(amped, vm.Config{Profiler: prof, Engine: r.Engine})
+	res, err := vm.RunSource(amped, vm.Config{Profiler: prof})
 	if err != nil {
 		return "", fmt.Errorf("bench: profile run: %w", err)
 	}

@@ -30,26 +30,3 @@ func TestScaleCellDeterministic(t *testing.T) {
 		t.Fatalf("scale cell missing from Makespans: %v", ms)
 	}
 }
-
-// The closure engine must not change any simulated result the bench
-// harness produces: same end-to-end cell, both engines, same makespan.
-func TestEngineParityOnBenchCell(t *testing.T) {
-	sw := NewRunner(true)
-	cells := sw.endToEndCells()
-	if len(cells) == 0 {
-		t.Fatal("no end-to-end cells")
-	}
-	r1, err := sw.runEndToEndCell(cells[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := NewRunner(true)
-	cl.Engine = "closure"
-	r2, err := cl.runEndToEndCell(cells[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Makespan != r2.Makespan {
-		t.Fatalf("engine parity broken: switch makespan %d, closure %d", r1.Makespan, r2.Makespan)
-	}
-}

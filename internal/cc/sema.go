@@ -8,6 +8,13 @@ import "fmt"
 // grows to 28 when the two shadow pointers are added.
 const FieldSize = 4
 
+// MaxArrayLen caps the element count of one runtime array (new T[n] or
+// realloc). Both execution engines back every element with a host
+// int64, so the cap bounds one buffer's host memory at 8 MiB whatever
+// length a program computes; checking it before multiplying by the
+// element size also keeps the byte count far from int64 overflow.
+const MaxArrayLen = 1 << 20
+
 // Intrinsics are the runtime functions the pre-processor's output may
 // call. __pool_alloc/__pool_free are the generalized structure pool of
 // §3.2; realloc/__shadow_save are the data-type array handling of §5.2.

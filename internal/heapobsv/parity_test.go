@@ -12,10 +12,10 @@ import (
 	"amplify/internal/workload"
 )
 
-// parityProg allocates from several sites across several threads so
-// site attribution, the shadow stack and the trace recorder all have
-// work to do under both VM engines.
-const parityProg = `
+// attributionProg allocates from several sites across several threads
+// so site attribution, the shadow stack and the trace recorder all have
+// work to do.
+const attributionProg = `
 class Node {
 public:
     Node(int d) {
@@ -43,73 +43,39 @@ int main() {
 }
 `
 
-// TestEngineSiteAttributionParity pins the switch and closure engines
-// against each other on the whole heap-observability surface: the
-// cycle profiler's folded stacks, the allocation-site profile, and the
-// recorded allocation trace must all be byte-identical — the closure
-// backend executes the same bytecode with a different dispatch
-// mechanism, so every observer artifact must agree exactly.
-func TestEngineSiteAttributionParity(t *testing.T) {
-	type artifacts struct {
-		cycles   string
-		sites    string
-		table    string
-		trace    []byte
-		makespan int64
+// TestSiteAttributionArtifacts runs the cycle profiler, the
+// allocation-site profile and the trace recorder together on one VM run
+// and checks that every artifact attributes: worker-thread allocations
+// land at the Node constructor's site with the class annotation, the
+// recorded trace validates and carries the same attribution, and the
+// leaked tree shows up in it.
+func TestSiteAttributionArtifacts(t *testing.T) {
+	prof := obsv.NewProfiler()
+	sites := heapobsv.NewSiteProfile()
+	rec := alloctrace.NewRecorder("attribution")
+	res, err := vm.RunSource(attributionProg, vm.Config{
+		Profiler:     prof,
+		HeapObserver: rec,
+		HeapProf:     heapobsv.ProfTee{sites, rec},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	capture := func(engine string) artifacts {
-		prof := obsv.NewProfiler()
-		sites := heapobsv.NewSiteProfile()
-		rec := alloctrace.NewRecorder("parity")
-		res, err := vm.RunSource(parityProg, vm.Config{
-			Engine:       engine,
-			Profiler:     prof,
-			HeapObserver: rec,
-			HeapProf:     heapobsv.ProfTee{sites, rec},
-		})
-		if err != nil {
-			t.Fatalf("%s engine: %v", engine, err)
-		}
-		prof.Finish(res.Makespan)
-		if err := rec.Trace().Validate(); err != nil {
-			t.Fatalf("%s engine: recorded trace invalid: %v", engine, err)
-		}
-		return artifacts{
-			cycles:   prof.Folded(),
-			sites:    sites.Folded(heapobsv.MetricAllocBytes),
-			table:    sites.Table(),
-			trace:    rec.Trace().Encode(),
-			makespan: res.Makespan,
-		}
-	}
-	sw := capture("")
-	cl := capture("closure")
-
-	if sw.makespan != cl.makespan {
-		t.Errorf("makespans differ: switch %d, closure %d", sw.makespan, cl.makespan)
-	}
-	if sw.cycles != cl.cycles {
-		t.Errorf("cycle profiles differ:\n--- switch ---\n%s\n--- closure ---\n%s", sw.cycles, cl.cycles)
-	}
-	if sw.sites != cl.sites {
-		t.Errorf("site profiles differ:\n--- switch ---\n%s\n--- closure ---\n%s", sw.sites, cl.sites)
-	}
-	if sw.table != cl.table {
-		t.Errorf("site tables differ:\n--- switch ---\n%s\n--- closure ---\n%s", sw.table, cl.table)
-	}
-	if !bytes.Equal(sw.trace, cl.trace) {
-		t.Error("recorded traces differ between switch and closure engines")
+	prof.Finish(res.Makespan)
+	if err := rec.Trace().Validate(); err != nil {
+		t.Fatalf("recorded trace invalid: %v", err)
 	}
 
-	// The artifacts must actually attribute: worker-thread allocations
-	// land at the Node constructor's site with the class annotation.
-	if !strings.Contains(sw.sites, "(Node)") {
-		t.Errorf("site profile has no Node attribution:\n%s", sw.sites)
+	if folded := sites.Folded(heapobsv.MetricAllocBytes); !strings.Contains(folded, "(Node)") {
+		t.Errorf("site profile has no Node attribution:\n%s", folded)
 	}
-	if !strings.Contains(sw.cycles, "worker") {
-		t.Errorf("cycle profile never entered worker:\n%s", sw.cycles)
+	if table := sites.Table(); !strings.Contains(table, "(Node)") {
+		t.Errorf("site table has no Node attribution:\n%s", table)
 	}
-	tr, err := alloctrace.Decode(sw.trace)
+	if cycles := prof.Folded(); !strings.Contains(cycles, "worker") {
+		t.Errorf("cycle profile never entered worker:\n%s", cycles)
+	}
+	tr, err := alloctrace.Decode(rec.Trace().Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

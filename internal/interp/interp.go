@@ -590,6 +590,9 @@ func (m *machine) newBuffer(c *sim.Ctx, pos Pos, elem string, n int64) value {
 	if n < 0 {
 		panic(rtErr(pos, "new %s[%d]: negative length", elem, n))
 	}
+	if n > cc.MaxArrayLen {
+		panic(rtErr(pos, "new %s[%d]: length exceeds the %d-element limit", elem, n, cc.MaxArrayLen))
+	}
 	size := n * int64(elemSize(elem))
 	if size == 0 {
 		size = 1
@@ -995,20 +998,21 @@ func (m *machine) evalIntrinsic(c *sim.Ctx, f *frame, e *cc.Call) value {
 		}
 		var prevUsable int64
 		var prevBuf *buffer
+		elem := "char"
 		if ptr.ref != mem.Nil {
 			prevBuf = m.getBuffer(e.Pos, ptr.ref)
 			prevUsable = prevBuf.usable
+			elem = prevBuf.elem
+		}
+		length := n.i / int64(elemSize(elem))
+		if length > cc.MaxArrayLen {
+			panic(rtErr(e.Pos, "realloc: size %d exceeds the %d-element limit", n.i, cc.MaxArrayLen))
 		}
 		size := n.i
 		if size == 0 {
 			size = 1
 		}
 		ref, usable := m.rt.ShadowRealloc(c, ptr.ref, prevUsable, size)
-		elem := "char"
-		if prevBuf != nil {
-			elem = prevBuf.elem
-		}
-		length := n.i / int64(elemSize(elem))
 		if ref == ptr.ref && prevBuf != nil {
 			// Reused in place: resize the logical view.
 			prevBuf.length = length

@@ -176,6 +176,15 @@ int main() { while (1) { } return 0; }
 		{"no main", `
 void f() { }
 `, "no main function"},
+		{"int array size overflows", `
+int main() { int* a = new int[2305843009213693953]; return 0; }
+`, "interp: 2:23: new int[2305843009213693953]: length exceeds the 1048576-element limit"},
+		{"char array too large", `
+int main() { char* a = new char[4611686018427387904]; return 0; }
+`, "interp: 2:24: new char[4611686018427387904]: length exceeds the 1048576-element limit"},
+		{"realloc too large", `
+int main() { char* a = realloc(null, 4611686018427387904); return 0; }
+`, "realloc: size 4611686018427387904 exceeds the 1048576-element limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

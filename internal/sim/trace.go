@@ -249,7 +249,7 @@ func (e *Engine) emit(t *Thread, kind EventKind, detail string, a1, a2 int64) {
 }
 
 // Trace emits a custom event from workload or runtime code (allocator
-// layers, pools, VM engines) onto the engine's trace stream. With no
+// layers, pools, the VM) onto the engine's trace stream. With no
 // tracer configured it costs one branch. detail must be a name that
 // already exists (a class or channel name) — building strings at the
 // call site would defeat the zero-alloc path.

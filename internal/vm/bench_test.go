@@ -28,7 +28,7 @@ func benchProgram(b *testing.B, src string) *Program {
 // treeBenchSrc is the paper's tree-churn shape (test case 2): recursive
 // constructors and destructors, field loads on every node, a method
 // call per node. It concentrates OpNew/OpDelete/OpLoadField/OpMethod —
-// the opcodes the fast-path engine targets.
+// the opcodes the handle table and inline caches target.
 const treeBenchSrc = `
 class Node {
 public:
@@ -163,24 +163,10 @@ int main() {
 }
 `
 
-// BenchmarkExecTreeBuildClosure runs the same tree churn under the
-// closure-compiled engine: the head-to-head for the dispatch-loop
-// elimination (compare against BenchmarkExecTreeBuild).
-func BenchmarkExecTreeBuildClosure(b *testing.B) {
-	p := benchProgram(b, treeBenchSrc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Config{Engine: "closure"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // arithLoopSrc is a dispatch-bound workload: a tight loop over local
 // arithmetic with no heap traffic, so nearly all host time is spent in
 // instruction dispatch rather than in the shared simulation models.
-// It isolates the cost the closure engine exists to remove.
+// It isolates the cost of dispatch itself.
 const arithLoopSrc = `
 int spin(int n) {
     int acc = 0;
@@ -193,28 +179,13 @@ int spin(int n) {
 int main() { return spin(60000) % 256; }
 `
 
-// BenchmarkExecArithLoop measures the switch engine on the
-// dispatch-bound arithmetic loop.
+// BenchmarkExecArithLoop measures the dispatch-bound arithmetic loop.
 func BenchmarkExecArithLoop(b *testing.B) {
 	p := benchProgram(b, arithLoopSrc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(p, Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExecArithLoopClosure is the closure-engine variant of the
-// dispatch-bound loop: the clearest view of the dispatch-elimination
-// win, with the simulation models mostly out of the picture.
-func BenchmarkExecArithLoopClosure(b *testing.B) {
-	p := benchProgram(b, arithLoopSrc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Config{Engine: "closure"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,19 +204,6 @@ func BenchmarkMethodDispatchMono(b *testing.B) {
 	}
 }
 
-// BenchmarkMethodDispatchMonoClosure is the closure-engine variant of
-// the monomorphic dispatch benchmark.
-func BenchmarkMethodDispatchMonoClosure(b *testing.B) {
-	p := benchProgram(b, monoDispatchSrc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Config{Engine: "closure"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMethodDispatchPoly measures a strictly-alternating
 // polymorphic call site: the inline cache misses every time and
 // dispatch falls back to the per-class vtable.
@@ -255,19 +213,6 @@ func BenchmarkMethodDispatchPoly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(p, Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMethodDispatchPolyClosure is the closure-engine variant of
-// the polymorphic dispatch benchmark.
-func BenchmarkMethodDispatchPolyClosure(b *testing.B) {
-	p := benchProgram(b, polyDispatchSrc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(p, Config{Engine: "closure"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,44 +9,29 @@ import (
 	"amplify/internal/sim"
 )
 
-// Closure-compiled execution engine (Config.Engine == "closure").
+// Closure-compiled execution.
 //
-// Instead of re-decoding bytecode in a switch dispatch loop, each
-// function is compiled once per Program into a chain of Go closures:
-// one step per instruction, where executing a step returns a pointer
-// to the next step (continuation-passing threaded code). The driver is
+// Compile turns each function into a chain of Go closures: one step per
+// instruction, where executing a step returns a pointer to the next
+// step (continuation-passing threaded code). The driver is
 // `for s != nil { s = (*s)(fr) }` — no pc, no bounds-checked Code[pc]
-// fetch, no switch. Steps capture their operands resolved at closure-
-// compile time: constants are pre-built values, callees are *Fn
-// pointers, arithmetic is specialized per operator, and every operand-
-// stack access uses a fixed index computed by static stack-depth
-// inference, so there is no stack pointer to maintain and no append.
-//
-// The engine shares everything semantic with the switch VM: the same
-// machine (handle table, inline caches, per-opcode ref caches, frame/
-// stack free lists, allocator and pool runtime), the same peephole/
-// superinstruction output, the same per-instruction step accounting
-// and bulk work-charging discipline, and the same fault sites
-// (m.curPC is stored per step, so vmError fn@pc context is identical).
-// Cross-engine identity — results and makespans — is enforced by
-// FuzzVMDiff and TestCrossEngineDifferential.
+// fetch, no switch. Steps capture their operands resolved at compile
+// time: constants are pre-built values, callees are *Fn pointers,
+// arithmetic is specialized per operator, and every operand-stack
+// access uses a fixed index computed by static stack-depth inference,
+// so there is no stack pointer to maintain and no append. m.curPC is
+// stored per step, so a vmError names the faulting fn@pc and opcode of
+// the bytecode the steps were built from. Agreement with the AST
+// interpreter is enforced by FuzzVMDiff and TestCrossEngineDifferential.
 
 // step is one compiled instruction: execute, return the continuation
 // (nil to leave the activation).
 type step func(fr *cframe) *step
 
-// closureFn is one function's closure-compiled form.
-type closureFn struct {
-	steps []step
-	// maxDepth is the operand-stack high-water mark from static depth
-	// inference; activations allocate exactly this many slots.
-	maxDepth int
-}
-
-// cframe is one closure-engine activation: the per-call state a step
-// needs at run time. Compiled steps are shared by every machine
-// running the Program (they capture only immutable compile-time data),
-// so all mutable state lives here.
+// cframe is one activation: the per-call state a step needs at run
+// time. Compiled steps are shared by every machine running the Program
+// (they capture only immutable compile-time data), so all mutable
+// state lives here.
 type cframe struct {
 	m     *machine
 	c     *sim.Ctx
@@ -56,11 +41,10 @@ type cframe struct {
 	ret   value
 }
 
-// pre is the per-step prologue, mirroring the switch loop's header
-// exactly: record the site for fault context, account the step budget,
-// then charge the simulated machine (batched in bulk mode, per unit
-// otherwise). It reports whether the fast path handled the charge;
-// call sites fall back to preSlow on false. The split keeps pre under
+// pre is the per-step prologue: record the site for fault context,
+// account the step budget, then charge the simulated machine (batched
+// in bulk mode, per unit otherwise). It reports whether the fast path
+// handled the charge; call sites fall back to preSlow on false. The split keeps pre under
 // the inlining budget — every compiled step pays this prologue, so it
 // must compile to a handful of straight-line instructions.
 func (fr *cframe) pre(pc int, w int64) bool {
@@ -79,25 +63,23 @@ func (fr *cframe) preSlow(w int64) {
 	if m.steps > m.cfg.MaxSteps {
 		m.fail("step limit exceeded (%d); non-terminating program?", m.cfg.MaxSteps)
 	}
-	// One Work call per fused work unit — see the switch loop for why
-	// bulk batching is off here (dilation rounds per charge).
+	// One Work call per work unit, not one charge of w: Ctx.Work
+	// dilates each charge under oversubscription with an integer
+	// division, so Work(2) can round differently than two Work(1)s and
+	// fusing instructions would perturb makespans.
 	for range w {
 		fr.c.Work(1)
 	}
 }
 
-// execClosure runs one function activation on the closure engine. It
-// is the closure-mode value of machine.call, so constructors,
-// destructors, operator new/delete and spawned threads all stay on
-// this engine. The activation protocol (profiler hooks, frame/stack
-// recycling, curFn bookkeeping) mirrors machine.exec.
+// execClosure runs one function activation and returns its value:
+// calls, constructors, destructors, operator new/delete and spawned
+// threads all enter here. args may be a zero-copy view into the
+// caller's stack or locals: it is copied into the callee's own slots
+// before any step runs, after which the view is dead. OpSpawn is the
+// one caller that must copy eagerly instead — its closure outlives the
+// spawning activation.
 func (m *machine) execClosure(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value {
-	cf := m.p.closures(fn)
-	if cf == nil {
-		// Depth inference failed for this program (cannot happen for
-		// compiler output; defensive): run on the switch engine.
-		return m.exec(c, fn, this, args)
-	}
 	prevFn, prevPC := m.curFn, m.curPC
 	m.curFn = fn
 	if m.prof != nil {
@@ -113,15 +95,15 @@ func (m *machine) execClosure(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) va
 	// stack: a single free-list round-trip per activation. Stack slots
 	// are written before they are read (depth inference guarantees
 	// it), so only the non-argument locals need zeroing.
-	buf := m.getStackN(fn.Slots + cf.maxDepth)
+	buf := m.getStackN(fn.Slots + fn.maxDepth)
 	n := copy(buf, args)
 	clear(buf[n:fn.Slots])
 	fr.slots = buf[:fn.Slots:fn.Slots]
 	fr.stack = buf[fn.Slots:]
 	fr.ret = value{}
 
-	if len(cf.steps) > 0 {
-		for s := &cf.steps[0]; s != nil; {
+	if len(fn.steps) > 0 {
+		for s := &fn.steps[0]; s != nil; {
 			s = (*s)(fr)
 		}
 	}
@@ -139,9 +121,9 @@ func (m *machine) execClosure(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) va
 	return ret
 }
 
-// getCFrame / putCFrame recycle activation records the same way
-// getFrame recycles local-slot arrays. The simulator runs one thread
-// at a time (one scheduler loop), so a machine-wide free list is safe.
+// getCFrame / putCFrame recycle activation records. The simulator runs
+// one thread at a time (one scheduler loop), so a machine-wide free
+// list is safe.
 func (m *machine) getCFrame() *cframe {
 	if k := len(m.cframes) - 1; k >= 0 {
 		fr := m.cframes[k]
@@ -158,10 +140,9 @@ func (m *machine) putCFrame(fr *cframe) {
 	m.cframes = append(m.cframes, fr)
 }
 
-// getStackN returns an uncleared operand stack of exactly n slots from
-// the stack free list. Unlike getStack it has a fixed length: the
-// closure engine indexes it at statically inferred depths and never
-// appends. Stale values above the live depth are unobservable.
+// getStackN returns an uncleared buffer of exactly n slots from the
+// stack free list. Steps index it at statically inferred depths and
+// never append; stale values above the live depth are unobservable.
 func (m *machine) getStackN(n int) []value {
 	if k := len(m.stacks) - 1; k >= 0 && cap(m.stacks[k]) >= n {
 		s := m.stacks[k][:n]
@@ -169,28 +150,6 @@ func (m *machine) getStackN(n int) []value {
 		return s
 	}
 	return make([]value, n, max(n, 16))
-}
-
-// closures returns fn's closure-compiled form, building the whole
-// program's on first use. The compiled steps capture only immutable
-// Program data, so they are shared across machines; sync.Once makes
-// the lazy build safe under the host-parallel harness.
-func (p *Program) closures(fn *Fn) *closureFn {
-	p.closureOnce.Do(func() {
-		p.closure = make([]closureFn, len(p.Fns))
-		for i, f := range p.Fns {
-			steps, maxDepth, ok := p.compileClosure(f)
-			if !ok {
-				p.closure = nil
-				return
-			}
-			p.closure[i] = closureFn{steps: steps, maxDepth: maxDepth}
-		}
-	})
-	if p.closure == nil {
-		return nil
-	}
-	return &p.closure[fn.id]
 }
 
 // stackShape returns how many operand slots ins reads below the
@@ -204,9 +163,9 @@ func stackShape(ins Instr) (require, delta int) {
 		return 0, 1
 	case OpStoreLocal, OpPop, OpJmpFalse, OpJmpTrue, OpDelete,
 		OpDeleteArray, OpWork, OpPoolFree, OpFrameFree, OpPoolReserve,
-		OpDtor, OpRet, OpShadowSave:
+		OpDtor, OpRet:
 		return 1, -1
-	case OpLoadField, OpAddConst, OpNeg, OpNot, OpNewArray:
+	case OpLoadField, OpAddConst, OpNeg, OpNot, OpNewArray, OpShadowSave:
 		return 1, 0
 	case OpDup:
 		return 1, 1
@@ -235,8 +194,8 @@ func stackShape(ins Instr) (require, delta int) {
 // inferDepths computes the operand-stack depth at every reachable pc
 // by forward propagation. Compiler output is depth-consistent at merge
 // points (including the Dup/JmpFalse/Pop short-circuit idiom), so a
-// conflict or underflow reports failure and the program falls back to
-// the switch engine. Unreachable instructions keep depth -1.
+// conflict or underflow reports failure, which Compile turns into an
+// error. Unreachable instructions keep depth -1.
 func inferDepths(code []Instr) (depth []int, maxDepth int, ok bool) {
 	depth = make([]int, len(code))
 	for i := range depth {
@@ -286,18 +245,19 @@ func inferDepths(code []Instr) (depth []int, maxDepth int, ok bool) {
 	return depth, maxDepth, true
 }
 
-// compileClosure translates one function's bytecode to threaded steps.
-// Every captured variable is immutable program data; all run-time
-// state arrives through the cframe.
-func (p *Program) compileClosure(fn *Fn) ([]step, int, bool) {
+// compileClosure translates one function's bytecode to threaded steps
+// and stores them, with the operand-stack high-water mark, on fn. Every
+// captured variable is immutable program data; all run-time state
+// arrives through the cframe, so one Program is shareable across runs.
+func (p *Program) compileClosure(fn *Fn) error {
 	code := fn.Code
 	depth, maxDepth, ok := inferDepths(code)
 	if !ok {
-		return nil, 0, false
+		return fmt.Errorf("vm: %s: inconsistent operand-stack depth", fn.Name)
 	}
 	steps := make([]step, len(code))
-	// at returns the continuation for pc i; falling off the end leaves
-	// the activation, like the switch loop's pc < len(Code) condition.
+	// at returns the continuation for pc i; falling off the end of the
+	// code leaves the activation.
 	at := func(i int) *step {
 		if i >= 0 && i < len(steps) {
 			return &steps[i]
@@ -855,7 +815,8 @@ func (p *Program) compileClosure(fn *Fn) ([]step, int, bool) {
 		}
 	}
 	p.fuseSteps(code, depth, steps)
-	return steps, maxDepth, true
+	fn.steps, fn.maxDepth = steps, maxDepth
+	return nil
 }
 
 // fieldLoadStep compiles OpLoadField, splitting the static-index and
@@ -935,8 +896,8 @@ func (p *Program) fieldStoreStep(pc int, w int64, d int, ins Instr, next *step) 
 }
 
 // methodStep compiles OpMethod: the per-site monomorphic inline cache
-// index is captured, the receiver check and vtable fallback mirror the
-// switch engine exactly.
+// index is captured; a cache miss resolves the callee through the
+// receiver's vtable and refills the cache.
 func (p *Program) methodStep(pc int, w int64, d int, ins Instr, next *step) step {
 	n := int(ins.B)
 	nameID := ins.A
@@ -964,9 +925,9 @@ func (p *Program) methodStep(pc int, w int64, d int, ins Instr, next *step) step
 }
 
 // arithStep specializes binary arithmetic per operator at closure-
-// compile time: the integer fast path is inlined (the operator switch
-// in machine.arith is gone), references fall back to m.arith which
-// preserves pointer-comparison semantics and fault messages.
+// compile time: the integer fast path is inlined, references fall back
+// to m.arith, which holds pointer-comparison semantics and fault
+// messages.
 func arithStep(pc int, w int64, d int, op Op, next *step) step {
 	switch op {
 	case OpAdd:

@@ -4,10 +4,10 @@ import "amplify/internal/cc"
 
 // Closure-level superinstruction fusion.
 //
-// The peephole pass fuses bytecode patterns that pay off on every
-// engine; this pass fuses patterns that pay off specifically under
-// closure dispatch, where the dominant per-instruction cost is the
-// indirect call into the next step plus the bookkeeping prologue. A
+// The peephole pass fuses bytecode patterns; this pass fuses step
+// patterns, because under closure dispatch the dominant
+// per-instruction cost is the indirect call into the next step plus
+// the bookkeeping prologue. A
 // fused step executes several consecutive instructions in one closure
 // body, eliminating the call round-trips between them and coalescing
 // their prologues.
@@ -21,7 +21,7 @@ import "amplify/internal/cc"
 // action between them are therefore coalesced into one pre() call —
 // the flush timestamps and the per-unit Work sequence come out
 // bit-identical. Faulting operations (objSlot, arithmetic) must report
-// the switch engine's fn@pc context, so each coalesced pre() carries
+// the unfused instruction's fn@pc context, so each coalesced pre() carries
 // the pc of the batch's faulting/visible instruction, with an explicit
 // curPC store where the two differ.
 //

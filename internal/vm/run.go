@@ -26,12 +26,6 @@ type Config struct {
 	Pool       pool.Config
 	MaxSteps   int64
 	Tracer     sim.Tracer
-	// Engine selects the execution engine: "switch" (default, the
-	// bytecode dispatch loop) or "closure" (each function compiled to
-	// a chain of Go closures — see closure.go). The engines are
-	// semantically identical down to simulated makespans and fault
-	// sites; only host speed differs.
-	Engine string
 	// TraceMask restricts which event kinds reach the tracer (zero
 	// means all).
 	TraceMask sim.Mask
@@ -196,18 +190,6 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		prof: cfg.Profiler,
 		hp:   cfg.HeapProf,
 	}
-	// call is the engine entry point for every function activation the
-	// shared runtime helpers start (constructors, destructors, operator
-	// new/delete, spawned threads), so a run stays on one engine
-	// throughout.
-	switch cfg.Engine {
-	case "", "switch":
-		m.call = m.exec
-	case "closure":
-		m.call = m.execClosure
-	default:
-		return res, fmt.Errorf("vm: unknown engine %q (want \"switch\" or \"closure\")", cfg.Engine)
-	}
 	if cfg.HeapObserver != nil {
 		if w, ok := cfg.HeapObserver.(alloc.Watcher); ok {
 			w.Watch(sp, under)
@@ -217,7 +199,7 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		}
 	}
 	e.Go("main", func(c *sim.Ctx) {
-		ret := m.call(c, p.Fns[mainID], mem.Nil, nil)
+		ret := m.execClosure(c, p.Fns[mainID], mem.Nil, nil)
 		m.flushWork(c)
 		m.exitCode = ret.i
 	})
@@ -349,14 +331,13 @@ type machine struct {
 	ics []methodIC
 	// Per-opcode last-ref memos (see refCache).
 	cLoadField, cStoreField, cIndexLoad, cIndexStore, cMethod, cMisc refCache
-	// frames and stacks are free lists of local-slot arrays and operand
-	// stacks, recycled across activations. The simulator runs one thread
-	// at a time (one scheduler loop), so sharing them machine-wide is safe.
-	frames [][]value
+	// stacks is a free list of activation buffers (locals plus operand
+	// stack), recycled across activations. The simulator runs one thread
+	// at a time (one scheduler loop), so sharing it machine-wide is safe.
 	stacks [][]value
 	// argScratch passes one- or two-value argument lists without
-	// allocating; exec copies arguments into the callee frame before
-	// anything else runs, so the scratch is immediately reusable.
+	// allocating; execClosure copies arguments into the callee frame
+	// before anything else runs, so the scratch is immediately reusable.
 	argScratch [2]value
 	joinable   *sim.WaitGroup
 	spawned    int
@@ -365,12 +346,7 @@ type machine struct {
 	// yet flushed to the simulator.
 	bulk    bool
 	pending int64
-	// call runs one function activation on the configured engine
-	// (m.exec or m.execClosure); the shared runtime helpers go through
-	// it so ctors, dtors, operator new/delete and spawned threads all
-	// execute on the engine the user selected.
-	call func(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value
-	// cframes recycles closure-engine activation records.
+	// cframes recycles activation records.
 	cframes  []*cframe
 	prof     Profiler
 	hp       HeapProfiler
@@ -459,29 +435,6 @@ func (m *machine) bufSlot(ref mem.Ref, cache *refCache) *hslot {
 	return s
 }
 
-// getFrame returns a cleared local-slot array of length n from the free
-// list (or fresh storage when the list is empty or too small).
-func (m *machine) getFrame(n int) []value {
-	if k := len(m.frames) - 1; k >= 0 && cap(m.frames[k]) >= n {
-		f := m.frames[k][:n]
-		m.frames = m.frames[:k]
-		clear(f)
-		return f
-	}
-	return make([]value, n, max(n, 8))
-}
-
-func (m *machine) putFrame(f []value) { m.frames = append(m.frames, f) }
-
-func (m *machine) getStack() []value {
-	if k := len(m.stacks) - 1; k >= 0 {
-		s := m.stacks[k]
-		m.stacks = m.stacks[:k]
-		return s[:0]
-	}
-	return make([]value, 0, 16)
-}
-
 func (m *machine) putStack(s []value) { m.stacks = append(m.stacks, s) }
 
 // flushWork charges the simulator for the work accumulated since the
@@ -493,403 +446,6 @@ func (m *machine) flushWork(c *sim.Ctx) {
 		c.Work(m.pending)
 		m.pending = 0
 	}
-}
-
-// exec runs one function activation and returns its value. Frames and
-// operand stacks come from per-machine free lists, and args may be a
-// zero-copy view into the caller's stack or locals: the copy into the
-// callee's own slots below happens before any other instruction runs,
-// after which the view is dead. OpSpawn is the one caller that must
-// copy eagerly instead — its closure outlives the spawning activation.
-func (m *machine) exec(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value {
-	prevFn, prevPC := m.curFn, m.curPC
-	m.curFn = fn
-	if m.prof != nil {
-		m.prof.Enter(c.ThreadID(), fn.Name, c.Now())
-	}
-	if m.hp != nil {
-		m.hp.Enter(c.ThreadID(), fn.Name, c.Now())
-	}
-	slots := m.getFrame(fn.Slots)
-	copy(slots, args)
-	stack := m.getStack()
-	var ret value
-
-loop:
-	for pc := 0; pc < len(fn.Code); pc++ {
-		m.curPC = pc
-		ins := fn.Code[pc]
-		m.steps += int64(ins.W)
-		if m.steps > m.cfg.MaxSteps {
-			m.fail("step limit exceeded (%d); non-terminating program?", m.cfg.MaxSteps)
-		}
-		if m.bulk {
-			m.pending += int64(ins.W)
-		} else {
-			// One Work call per fused instruction, not one bulk charge:
-			// Ctx.Work dilates each charge under oversubscription with
-			// an integer division, so Work(2) can round differently
-			// than two Work(1)s and optimization would perturb
-			// makespans.
-			for range int(ins.W) {
-				c.Work(1)
-			}
-		}
-		switch ins.Op {
-		case OpNop:
-		case OpConst:
-			if ins.B == 1 {
-				stack = append(stack, value{kind: 's', s: m.p.Strs[ins.A]})
-			} else {
-				stack = append(stack, iv(m.p.Consts[ins.A]))
-			}
-		case OpNull:
-			stack = append(stack, rv(mem.Nil))
-		case OpLoadLocal:
-			stack = append(stack, slots[ins.A])
-		case OpStoreLocal:
-			slots[ins.A] = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-		case OpLoadThis:
-			stack = append(stack, rv(this))
-		case OpLoadField:
-			recv := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			s := m.objSlot(recv.ref, &m.cLoadField)
-			idx := ins.A
-			if ins.B == 1 {
-				idx = s.class.fieldOf[ins.A]
-				if idx < 0 {
-					m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[ins.A])
-				}
-			}
-			m.flushWork(c)
-			c.Read(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
-			stack = append(stack, s.fields[idx])
-		case OpStoreField:
-			recv := stack[len(stack)-1]
-			v := stack[len(stack)-2]
-			stack = stack[:len(stack)-2]
-			s := m.objSlot(recv.ref, &m.cStoreField)
-			idx := ins.A
-			if ins.B == 1 {
-				idx = s.class.fieldOf[ins.A]
-				if idx < 0 {
-					m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[ins.A])
-				}
-			}
-			m.flushWork(c)
-			c.Write(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
-			s.fields[idx] = v
-		case OpIndexLoad:
-			i := stack[len(stack)-1]
-			bref := stack[len(stack)-2]
-			stack = stack[:len(stack)-2]
-			s := m.bufSlot(bref.ref, &m.cIndexLoad)
-			if i.i < 0 || i.i >= s.length {
-				m.fail("index %d out of range [0,%d)", i.i, s.length)
-			}
-			m.flushWork(c)
-			c.Read(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
-			stack = append(stack, iv(s.data[i.i]))
-		case OpIndexStore:
-			i := stack[len(stack)-1]
-			bref := stack[len(stack)-2]
-			v := stack[len(stack)-3]
-			stack = stack[:len(stack)-3]
-			s := m.bufSlot(bref.ref, &m.cIndexStore)
-			if i.i < 0 || i.i >= s.length {
-				m.fail("index %d out of range [0,%d)", i.i, s.length)
-			}
-			m.flushWork(c)
-			c.Write(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
-			s.data[i.i] = v.i
-		case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-			y := stack[len(stack)-1]
-			x := stack[len(stack)-2]
-			stack = stack[:len(stack)-1]
-			stack[len(stack)-1] = m.arith(ins.Op, x, y)
-		case OpNeg:
-			stack[len(stack)-1] = iv(-stack[len(stack)-1].i)
-		case OpNot:
-			if stack[len(stack)-1].truthy() {
-				stack[len(stack)-1] = iv(0)
-			} else {
-				stack[len(stack)-1] = iv(1)
-			}
-		case OpJmp:
-			pc = int(ins.A) - 1
-		case OpJmpFalse:
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if !v.truthy() {
-				pc = int(ins.A) - 1
-			}
-		case OpJmpTrue:
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v.truthy() {
-				pc = int(ins.A) - 1
-			}
-		case OpDup:
-			stack = append(stack, stack[len(stack)-1])
-		case OpPop:
-			stack = stack[:len(stack)-1]
-		case OpCall:
-			n := int(ins.B)
-			args := stack[len(stack)-n:]
-			stack = stack[:len(stack)-n]
-			stack = append(stack, m.exec(c, m.p.Fns[ins.A], mem.Nil, args))
-		case OpMethod:
-			n := int(ins.B)
-			args := stack[len(stack)-n:]
-			stack = stack[:len(stack)-n]
-			recv := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			s := m.liveSlot(recv.ref, &m.cMethod)
-			ic := &m.ics[ins.C]
-			callee := ic.fn
-			if ic.class != s.class {
-				id := s.class.vtable[ins.A]
-				if id < 0 {
-					m.fail("class %s has no method %s", s.class.decl.Name, m.p.Names[ins.A])
-				}
-				callee = m.p.Fns[id]
-				ic.class, ic.fn = s.class, callee
-			}
-			stack = append(stack, m.exec(c, callee, recv.ref, args))
-		case OpDtor:
-			recv := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			s := m.liveSlot(recv.ref, &m.cMisc)
-			ci := m.p.classes[ins.A]
-			if s.class != ci {
-				m.fail("destructor ~%s called on %s object", ci.decl.Name, s.class.decl.Name)
-			}
-			m.runDtor(c, s, recv.ref)
-		case OpNew, OpPlacementNew:
-			n := int(ins.B)
-			args := stack[len(stack)-n:]
-			stack = stack[:len(stack)-n]
-			var placement value
-			if ins.Op == OpPlacementNew {
-				placement = stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-			}
-			stack = append(stack, m.doNew(c, m.p.classes[ins.A], placement, args, ins.C))
-		case OpNewArray:
-			n := stack[len(stack)-1]
-			stack[len(stack)-1] = m.newBuffer(c, ins.A, n.i, ins.C)
-		case OpDelete:
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			m.doDelete(c, v)
-		case OpDeleteArray:
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if v.ref == mem.Nil {
-				break
-			}
-			s := m.bufSlot(v.ref, &m.cMisc)
-			s.state = stFreed
-			m.flushWork(c)
-			m.alloc.Free(c, v.ref)
-			c.Trace(sim.EvFree, "buffer", int64(v.ref), 0)
-			if m.hp != nil {
-				m.hp.Free(c.ThreadID(), v.ref)
-			}
-		case OpRet:
-			ret = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			break loop
-		case OpRetVoid:
-			break loop
-		case OpPrint:
-			base := len(stack) - int(ins.A)
-			for i := base; i < len(stack); i++ {
-				if i > base {
-					m.out.WriteByte(' ')
-				}
-				m.out.WriteString(stack[i].text())
-			}
-			m.out.WriteByte('\n')
-			stack = stack[:base]
-		case OpSpawn:
-			n := int(ins.B)
-			args := make([]value, n)
-			copy(args, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
-			m.flushWork(c)
-			m.spawned++
-			m.joinable.Add(1)
-			fnID := ins.A
-			c.Go(fmt.Sprintf("%s#%d", m.p.Fns[fnID].Name, m.spawned), func(c2 *sim.Ctx) {
-				m.exec(c2, m.p.Fns[fnID], mem.Nil, args)
-				m.joinable.Done(c2)
-			})
-		case OpJoin:
-			m.flushWork(c)
-			m.joinable.Wait(c)
-		case OpWork:
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if n.i > 0 {
-				m.flushWork(c)
-				c.Work(n.i)
-			}
-		case OpPoolAlloc:
-			ci := m.p.classes[ins.A]
-			var pl *pool.ClassPool
-			if ins.B == 1 {
-				pl = m.privatePoolFor(ci)
-			} else {
-				pl = m.poolFor(ci)
-			}
-			m.flushWork(c)
-			ref, reused := pl.Alloc(c)
-			if reused {
-				m.h.ensure(ref).state = stLive
-			} else {
-				m.h.ensure(ref).setObject(ci)
-			}
-			if m.hp != nil {
-				m.hp.Alloc(c.ThreadID(), m.p.Sites[ins.C], ci.decl.Name, ci.decl.Size, ref)
-			}
-			stack = append(stack, rv(ref))
-		case OpPoolFree:
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			ci := m.p.classes[ins.A]
-			if v.ref == mem.Nil {
-				break
-			}
-			s := m.objSlot(v.ref, &m.cMisc)
-			if s.class != ci {
-				m.fail("__pool_free: %s object given to %s pool", s.class.decl.Name, ci.decl.Name)
-			}
-			m.flushWork(c)
-			var fpl *pool.ClassPool
-			if ins.B == 1 {
-				fpl = m.privatePoolFor(ci)
-			} else {
-				fpl = m.poolFor(ci)
-			}
-			if pooled := fpl.Free(c, v.ref); !pooled {
-				s.state = stFreed
-			}
-			if m.hp != nil {
-				m.hp.Free(c.ThreadID(), v.ref)
-			}
-		case OpFrameAlloc:
-			// Frame promotion (__frame_alloc): a constructed-pending slot
-			// in the frame region. The region is outside the simulated
-			// heap, so the heap profiler never sees promoted objects. A
-			// reused same-class slot keeps its old object record — like
-			// pool reuse, so its shadow pointers stay meaningful and
-			// placement new can revive the children.
-			ci := m.p.classes[ins.A]
-			m.flushWork(c)
-			ref := m.rt.Frame().Alloc(c, ci.decl.Size)
-			s := m.h.ensure(ref)
-			if s.kind != hObj || s.class != ci {
-				s.setObject(ci)
-			}
-			s.state = stDestroyed
-			stack = append(stack, rv(ref))
-		case OpFrameFree:
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			ci := m.p.classes[ins.A]
-			if v.ref == mem.Nil {
-				break
-			}
-			s := m.liveSlot(v.ref, &m.cMisc)
-			if s.class != ci {
-				m.fail("__frame_free: %s object given to %s frame slot", s.class.decl.Name, ci.decl.Name)
-			}
-			// runDtor leaves the slot destroyed, not freed: the record's
-			// fields wait on the frame free list for the next same-class
-			// allocation, exactly like a structure sitting in a pool.
-			m.runDtor(c, s, v.ref)
-			m.flushWork(c)
-			m.rt.Frame().Free(c, ci.decl.Size, v.ref)
-		case OpPoolReserve:
-			// Pool pre-sizing (__pool_reserve). Reserved structures stay
-			// pool-internal until first use; the heap profiler records
-			// their birth at the OpPoolAlloc that pops them.
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			ci := m.p.classes[ins.A]
-			if n.i > 0 {
-				pl := m.poolFor(ci)
-				m.flushWork(c)
-				for _, ref := range pl.Reserve(c, int(n.i)) {
-					s := m.h.ensure(ref)
-					s.setObject(ci)
-					s.state = stDestroyed
-				}
-			}
-		case OpRealloc:
-			n := stack[len(stack)-1]
-			ptr := stack[len(stack)-2]
-			stack = stack[:len(stack)-1]
-			stack[len(stack)-1] = m.doRealloc(c, ptr, n.i, ins.C)
-		case OpShadowSave:
-			v := stack[len(stack)-1]
-			if v.ref == mem.Nil {
-				stack[len(stack)-1] = rv(mem.Nil)
-				break
-			}
-			s := m.bufSlot(v.ref, &m.cMisc)
-			m.flushWork(c)
-			if m.rt.ShadowSave(c, v.ref, s.usable) {
-				s.state = stDestroyed
-				stack[len(stack)-1] = rv(v.ref)
-			} else {
-				s.state = stFreed
-				stack[len(stack)-1] = rv(mem.Nil)
-			}
-			// Saved or released, the buffer is dead at the program level;
-			// a later realloc reusing the shadow records a fresh birth.
-			if m.hp != nil {
-				m.hp.Free(c.ThreadID(), v.ref)
-			}
-		case OpLoadLocalField:
-			recv := slots[ins.A]
-			s := m.objSlot(recv.ref, &m.cLoadField)
-			idx := s.class.fieldOf[ins.B]
-			if idx < 0 {
-				m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[ins.B])
-			}
-			m.flushWork(c)
-			c.Read(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
-			stack = append(stack, s.fields[idx])
-		case OpAddConst:
-			x := stack[len(stack)-1]
-			if x.kind == 'r' {
-				m.fail("invalid pointer arithmetic")
-			}
-			stack[len(stack)-1] = iv(x.i + m.p.Consts[ins.A])
-		case OpCallL1:
-			stack = append(stack, m.exec(c, m.p.Fns[ins.A], mem.Nil, slots[ins.B:ins.B+1]))
-		case OpCallL2:
-			m.argScratch[0] = slots[ins.B&0xffff]
-			m.argScratch[1] = slots[ins.B>>16]
-			stack = append(stack, m.exec(c, m.p.Fns[ins.A], mem.Nil, m.argScratch[:2]))
-		default:
-			m.fail("unknown opcode %s", ins.Op)
-		}
-	}
-	m.putFrame(slots)
-	m.putStack(stack)
-	if m.prof != nil {
-		m.prof.Exit(c.ThreadID(), c.Now())
-	}
-	if m.hp != nil {
-		m.hp.Exit(c.ThreadID(), c.Now())
-	}
-	m.curFn, m.curPC = prevFn, prevPC
-	return ret
 }
 
 func (m *machine) arith(op Op, x, y value) value {
@@ -951,13 +507,13 @@ func (m *machine) arith(op Op, x, y value) value {
 
 func (m *machine) runCtor(c *sim.Ctx, ci *classInfo, ref mem.Ref, args []value) {
 	if ci.ctor >= 0 {
-		m.call(c, m.p.Fns[ci.ctor], ref, args)
+		m.execClosure(c, m.p.Fns[ci.ctor], ref, args)
 	}
 }
 
 func (m *machine) runDtor(c *sim.Ctx, s *hslot, ref mem.Ref) {
 	if s.class.dtor >= 0 {
-		m.call(c, m.p.Fns[s.class.dtor], ref, nil)
+		m.execClosure(c, m.p.Fns[s.class.dtor], ref, nil)
 	}
 	s.state = stDestroyed
 }
@@ -980,7 +536,7 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 	var ref mem.Ref
 	if ci.opNew >= 0 {
 		m.argScratch[0] = iv(ci.decl.Size)
-		v := m.call(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
+		v := m.execClosure(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
 		if v.kind != 'r' || v.ref == mem.Nil {
 			m.fail("operator new of %s returned %s", ci.decl.Name, v.text())
 		}
@@ -1017,7 +573,7 @@ func (m *machine) doDelete(c *sim.Ctx, v value) {
 	m.runDtor(c, s, v.ref)
 	if s.class.opDelete >= 0 {
 		m.argScratch[0] = rv(v.ref)
-		m.call(c, m.p.Fns[s.class.opDelete], v.ref, m.argScratch[:1])
+		m.execClosure(c, m.p.Fns[s.class.opDelete], v.ref, m.argScratch[:1])
 		return
 	}
 	s.state = stFreed
@@ -1032,6 +588,9 @@ func (m *machine) newBuffer(c *sim.Ctx, elemSize int32, n int64, site int32) val
 	m.flushWork(c)
 	if n < 0 {
 		m.fail("new array with negative length %d", n)
+	}
+	if n > cc.MaxArrayLen {
+		m.fail("new array length %d exceeds the %d-element limit", n, cc.MaxArrayLen)
 	}
 	size := n * int64(elemSize)
 	if size == 0 {
@@ -1053,9 +612,15 @@ func (m *machine) doRealloc(c *sim.Ctx, ptr value, n int64, site int32) value {
 	}
 	var prev *hslot
 	var prevUsable int64
+	elemSize := int32(1)
 	if ptr.ref != mem.Nil {
 		prev = m.bufSlot(ptr.ref, &m.cMisc)
 		prevUsable = prev.usable
+		elemSize = prev.elemSize
+	}
+	length := n / int64(elemSize)
+	if length > cc.MaxArrayLen {
+		m.fail("realloc: size %d exceeds the %d-element limit", n, cc.MaxArrayLen)
 	}
 	size := n
 	if size == 0 {
@@ -1072,11 +637,6 @@ func (m *machine) doRealloc(c *sim.Ctx, ptr value, n int64, site int32) value {
 		}
 		m.hp.Alloc(c.ThreadID(), m.p.Sites[site], "", size, ref)
 	}
-	elemSize := int32(1)
-	if prev != nil {
-		elemSize = prev.elemSize
-	}
-	length := n / int64(elemSize)
 	if prev != nil && ref == ptr.ref {
 		prev.length = length
 		if int64(len(prev.data)) < length {
