@@ -120,7 +120,8 @@ type RunConfig struct {
 	// Processors is the simulated CPU count (default 8, the paper's
 	// machines).
 	Processors int
-	// MaxSteps bounds interpreted statements (default 50 million).
+	// MaxSteps bounds each simulated thread's interpreted statements or
+	// VM work units (default 50 million).
 	MaxSteps int64
 	// Engine selects the execution engine: "vm" (compiled bytecode,
 	// default) or "ast" (tree-walking interpreter). The two are

@@ -47,7 +47,8 @@ type HostReport struct {
 // vmHostSources are the MiniCC programs the VM benchmarks time.
 // treeChurn is allocator/cache bound (the paper's test case 2 shape);
 // arithLoop is dispatch bound; methodCalls stresses the call machinery
-// and inline caches.
+// and inline caches; tree_t4 is the paper's threaded test program, whose
+// time goes to settling deferred work units between its threads.
 var vmHostSources = []struct {
 	name string
 	src  string
@@ -105,6 +106,7 @@ int main() {
     delete c;
     return s % 256;
 }`},
+	{"tree_t4", treeSource(4, 15, e2eDepth)},
 }
 
 // minDuration runs fn rounds times and returns its minimum duration.
@@ -147,6 +149,9 @@ func HostBench() (*HostReport, error) {
 
 	for _, s := range vmHostSources {
 		prog, err := cc.Parse(s.src)
+		if err == nil {
+			err = cc.Analyze(prog)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("hostbench %s: %w", s.name, err)
 		}

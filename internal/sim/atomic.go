@@ -42,6 +42,7 @@ func (e *Engine) AtomicValue(addr uint64) int64 { return e.atomicWord(addr) }
 // plus the CostModel.Atomic fence price.
 func (c *Ctx) CAS(addr uint64, old, new int64) bool {
 	t := c.t
+	t.sync()
 	e := t.e
 	cur := e.atomicWord(addr)
 	ok := cur == old
@@ -70,6 +71,7 @@ func (c *Ctx) CAS(addr uint64, old, new int64) bool {
 // line (write access) and pays the fence price.
 func (c *Ctx) FAA(addr uint64, delta int64) int64 {
 	t := c.t
+	t.sync()
 	e := t.e
 	old := e.atomicWord(addr)
 	e.setAtomicWord(addr, old+delta)
@@ -86,6 +88,7 @@ func (c *Ctx) FAA(addr uint64, delta int64) int64 {
 // simulated TSO machine).
 func (c *Ctx) AtomicLoad(addr uint64) int64 {
 	t := c.t
+	t.sync()
 	e := t.e
 	v := e.atomicWord(addr)
 	e.cache.access(t, t.cpu(), addr, 8, false)
@@ -99,6 +102,7 @@ func (c *Ctx) AtomicLoad(addr uint64) int64 {
 // write access through the cache model plus the fence price.
 func (c *Ctx) AtomicStore(addr uint64, v int64) {
 	t := c.t
+	t.sync()
 	e := t.e
 	e.setAtomicWord(addr, v)
 	e.cache.access(t, t.cpu(), addr, 8, true)

@@ -46,6 +46,7 @@ func (ch *Channel) wake(t *Thread, w *Thread) {
 // closed channel panics, like Go channels.
 func (ch *Channel) Send(c *Ctx, v any) {
 	t := c.t
+	t.sync()
 	t.advance(ch.e.cost.LockAcquire) // queue manipulation cost
 	if ch.closed {
 		panic("sim: send on closed channel " + ch.name)
@@ -77,6 +78,7 @@ func (ch *Channel) Send(c *Ctx, v any) {
 // returns ok == false once the channel is closed and drained.
 func (ch *Channel) Recv(c *Ctx) (v any, ok bool) {
 	t := c.t
+	t.sync()
 	t.advance(ch.e.cost.LockAcquire)
 	for {
 		if len(ch.buf) > 0 {
@@ -112,6 +114,7 @@ func (ch *Channel) Recv(c *Ctx) (v any, ok bool) {
 // next scheduling.
 func (ch *Channel) Close(c *Ctx) {
 	t := c.t
+	t.sync()
 	t.advance(ch.e.cost.LockRelease)
 	if ch.closed {
 		panic("sim: close of closed channel " + ch.name)

@@ -63,7 +63,10 @@ func (e *Engine) stopCoros() {
 // Run. A Go runtime error (nil dereference, index range) first gets the
 // simulated thread's stack attached, captured here before the stack
 // unwinds; typed panic values pass through untouched so callers can
-// recover their own sentinels.
+// recover their own sentinels. Pending work units are applied before
+// the thread is done; a thread that panicked applies them without
+// scheduling — exact when no other thread is runnable, which callers
+// that fault ensure with Ctx.Sync.
 func (t *Thread) exec() (reusable bool) {
 	defer func() {
 		r := recover()
@@ -71,6 +74,9 @@ func (t *Thread) exec() (reusable bool) {
 			return
 		}
 		e := t.e
+		for t.pend > 0 {
+			e.charge(t, nil)
+		}
 		t.state = stateDone
 		e.live--
 		e.running--
@@ -83,5 +89,6 @@ func (t *Thread) exec() (reusable bool) {
 		}
 	}()
 	t.fn(&Ctx{t: t})
+	t.sync()
 	return true
 }

@@ -38,4 +38,10 @@
 // invariant. Within a lease window, memory accesses by the leaseholder
 // are not interleaved with other threads' accesses; this slightly batches
 // cache-model traffic but affects all allocation strategies equally.
+//
+// Pure computation can be charged with Ctx.Units, which leaves work
+// units pending on the thread instead of running the scheduler after
+// each one. The thread's next engine action settles them exactly as
+// that many Work(1) calls would, advancing due peers that only owe
+// units in place rather than switching to their coroutines.
 package sim

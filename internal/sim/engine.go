@@ -84,6 +84,14 @@ type Engine struct {
 	tracer    Tracer
 	traceMask Mask
 
+	// deferUnits lets pending work units be settled in runs and in
+	// place (see Thread.settle and Ctx.Deferred).
+	deferUnits bool
+
+	// cur is the thread whose coroutine Run last resumed: the one
+	// executing host code while a simulation runs.
+	cur *Thread
+
 	// Mutexes registers every mutex created on this engine so that Run
 	// can report per-lock statistics and deadlocks can be diagnosed.
 	mutexes []*Mutex
@@ -111,6 +119,8 @@ func New(cfg Config) *Engine {
 		tracer:    cfg.Tracer,
 		traceMask: mask,
 	}
+	e.deferUnits = !cfg.Exact && !cfg.linearScan &&
+		(e.tracer == nil || !mask.Has(EvPreempt))
 	e.cache = newCache(cfg.Processors, cfg.LineSize, &e.cost)
 	return e
 }
@@ -129,6 +139,10 @@ func (e *Engine) Threads() []*Thread { return e.threads }
 
 // Mutexes returns every mutex created on the engine.
 func (e *Engine) Mutexes() []*Mutex { return e.mutexes }
+
+// Current reports the thread whose code is executing during Run: called
+// from a thread function, the caller's own thread. It is nil before Run.
+func (e *Engine) Current() *Thread { return e.cur }
 
 func (e *Engine) newThread(name string, fn func(*Ctx)) *Thread {
 	t := &Thread{
@@ -193,6 +207,7 @@ func (e *Engine) Run() int64 {
 		if t.co == nil {
 			e.bindCoro(t)
 		}
+		e.cur = t
 		t.co.next()
 		if t.state == stateDone {
 			e.idleCoros = append(e.idleCoros, t.co)
@@ -204,16 +219,44 @@ func (e *Engine) Run() int64 {
 
 // pick removes the next thread to run from the ready queue and returns
 // it with the clock of the runner-up, which bounds its lease; nil when
-// no thread is runnable.
+// no thread is runnable. A due thread that only owes pending units is
+// advanced in place (runRoot) rather than resumed: only a thread with
+// code to run is returned.
 func (e *Engine) pick() (*Thread, int64) {
 	if e.cfg.linearScan {
 		return e.pickMin()
+	}
+	for n := e.ready.peek(); e.deferUnits && n != nil && n.pend > 0; n = e.ready.peek() {
+		e.runRoot(nil)
 	}
 	t := e.ready.pop()
 	if n := e.ready.peek(); n != nil {
 		return t, n.clock
 	}
 	return t, math.MaxInt64
+}
+
+// runRoot applies the ready root's pending units in place, as its own
+// coroutine would once resumed: run after run while it stays ahead of
+// every other thread — the rest of the queue and rival, the running
+// thread that would otherwise be preempted (nil when Run picks) — and
+// then restores heap order. A unit changes only its own thread's
+// clock, migration count and last CPU, and the scheduling decision
+// after it reads only clocks and slots, so no coroutine needs to run.
+func (e *Engine) runRoot(rival *Thread) {
+	h := &e.ready
+	n := h.ts[0]
+	b := h.minChild(0)
+	if rival != nil && (b == nil || schedBefore(rival, b)) {
+		b = rival
+	}
+	for n.pend > 0 {
+		e.charge(n, b)
+		if b != nil && !schedBefore(n, b) {
+			break
+		}
+	}
+	h.down(0)
 }
 
 // pickMin selects the ready thread with the smallest clock (ties broken

@@ -54,6 +54,7 @@ func (m *Mutex) Name() string { return m.name }
 // if it is held. Handoff is FIFO, so the lock is fair.
 func (m *Mutex) Lock(c *Ctx) {
 	t := c.t
+	t.sync()
 	t.advance(m.e.cost.LockAcquire)
 	m.touch(t)
 	if m.owner == nil {
@@ -86,6 +87,7 @@ func (m *Mutex) Lock(c *Ctx) {
 // whether it succeeded.
 func (m *Mutex) TryLock(c *Ctx) bool {
 	t := c.t
+	t.sync()
 	t.advance(m.e.cost.TryLock)
 	m.touch(t)
 	ok := m.owner == nil
@@ -104,6 +106,7 @@ func (m *Mutex) TryLock(c *Ctx) bool {
 // directly to the first waiter, which resumes after the handoff latency.
 func (m *Mutex) Unlock(c *Ctx) {
 	t := c.t
+	t.sync()
 	if m.owner != t {
 		panic("sim: Unlock of mutex not held by calling thread: " + m.name)
 	}

@@ -58,6 +58,18 @@ func (h *readyHeap) pop() *Thread {
 	return t
 }
 
+// minChild returns the earlier child of node i, or nil for a leaf.
+func (h *readyHeap) minChild(i int) *Thread {
+	l := 2*i + 1
+	if l >= len(h.ts) {
+		return nil
+	}
+	if r := l + 1; r < len(h.ts) && schedBefore(h.ts[r], h.ts[l]) {
+		return h.ts[r]
+	}
+	return h.ts[l]
+}
+
 func (h *readyHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2

@@ -258,6 +258,7 @@ func (c *Ctx) Trace(kind EventKind, detail string, a1, a2 int64) {
 	if t.e.tracer == nil {
 		return
 	}
+	t.sync()
 	t.e.emit(t, kind, detail, a1, a2)
 }
 

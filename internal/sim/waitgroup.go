@@ -32,6 +32,7 @@ func (wg *WaitGroup) Add(n int) {
 // Done decrements the counter; when it reaches zero all waiters resume
 // at the caller's current time.
 func (wg *WaitGroup) Done(c *Ctx) {
+	c.t.sync()
 	wg.count--
 	wg.Dones++
 	if wg.count < 0 {
@@ -50,10 +51,11 @@ func (wg *WaitGroup) Done(c *Ctx) {
 
 // Wait blocks the calling thread until the counter reaches zero.
 func (wg *WaitGroup) Wait(c *Ctx) {
+	t := c.t
+	t.sync()
 	if wg.count == 0 {
 		return
 	}
-	t := c.t
 	wg.Waits++
 	t.e.trace(t, EvWaitGroupWait, "")
 	wg.waiters = append(wg.waiters, t)

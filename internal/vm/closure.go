@@ -19,9 +19,9 @@ import (
 // time: constants are pre-built values, callees are *Fn pointers,
 // arithmetic is specialized per operator, and every operand-stack
 // access uses a fixed index computed by static stack-depth inference,
-// so there is no stack pointer to maintain and no append. m.curPC is
-// stored per step, so a vmError names the faulting fn@pc and opcode of
-// the bytecode the steps were built from. Agreement with the AST
+// so there is no stack pointer to maintain and no append. The executing
+// thread's pc is stored per step, so a vmError names the faulting fn@pc
+// and opcode of the bytecode the steps were built from. Agreement with the AST
 // interpreter is enforced by FuzzVMDiff and TestCrossEngineDifferential.
 
 // step is one compiled instruction: execute, return the continuation
@@ -34,6 +34,7 @@ type step func(fr *cframe) *step
 // state lives here.
 type cframe struct {
 	m     *machine
+	th    *thread
 	c     *sim.Ctx
 	this  mem.Ref
 	slots []value
@@ -42,53 +43,50 @@ type cframe struct {
 }
 
 // pre is the per-step prologue: record the site for fault context,
-// account the step budget, then charge the simulated machine (batched
-// in bulk mode, per unit otherwise). It reports whether the fast path
-// handled the charge; call sites fall back to preSlow on false. The split keeps pre under
-// the inlining budget — every compiled step pays this prologue, so it
-// must compile to a handful of straight-line instructions.
+// account the thread's step budget, then charge the step's w work
+// units. The units stay pending in the simulator (sim.Ctx.Units) until
+// the thread's next simulator action, or a Sync before host state other
+// threads can see, applies them exactly as w calls of Work(1) would. It
+// reports false past the thread's limit (see thread.limit); call sites
+// then take preSlow. The split keeps pre under the inlining budget —
+// every compiled step pays this prologue, so it must compile to a
+// handful of straight-line instructions.
 func (fr *cframe) pre(pc int, w int64) bool {
-	m := fr.m
-	m.curPC = pc
-	m.steps += w
-	if m.steps > m.cfg.MaxSteps || !m.bulk {
+	th := fr.th
+	th.pc = pc
+	th.steps += w
+	if th.steps > th.limit {
 		return false
 	}
-	m.pending += w
+	fr.c.Units(w)
 	return true
 }
 
+// preSlow faults once the step budget is spent. Otherwise the engine
+// does not defer units (see thread.limit), and they are charged now.
 func (fr *cframe) preSlow(w int64) {
 	m := fr.m
-	if m.steps > m.cfg.MaxSteps {
+	if fr.th.steps > m.cfg.MaxSteps {
 		m.fail("step limit exceeded (%d); non-terminating program?", m.cfg.MaxSteps)
 	}
-	// One Work call per work unit, not one charge of w: Ctx.Work
-	// dilates each charge under oversubscription with an integer
-	// division, so Work(2) can round differently than two Work(1)s and
-	// fusing instructions would perturb makespans.
-	for range w {
-		fr.c.Work(1)
-	}
+	fr.c.Units(w)
+	fr.c.Sync()
 }
 
-// execClosure runs one function activation and returns its value:
-// calls, constructors, destructors, operator new/delete and spawned
-// threads all enter here. args may be a zero-copy view into the
-// caller's stack or locals: it is copied into the callee's own slots
-// before any step runs, after which the view is dead. OpSpawn is the
-// one caller that must copy eagerly instead — its closure outlives the
-// spawning activation.
-func (m *machine) execClosure(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value {
-	prevFn, prevPC := m.curFn, m.curPC
-	m.curFn = fn
-	if m.prof != nil {
-		m.prof.Enter(c.ThreadID(), fn.Name, c.Now())
-	}
-	if m.hp != nil {
-		m.hp.Enter(c.ThreadID(), fn.Name, c.Now())
-	}
+// execClosure runs one function activation on thread th and returns
+// its value: calls, constructors, destructors, operator new/delete and
+// spawned threads all enter here. args may be a zero-copy view into the
+// caller's stack or locals, or into m.argScratch: it is copied into the
+// callee's own slots before anything can yield to another thread (the
+// profilers' Now settles pending units), after which the view is dead.
+// OpSpawn is the one caller that must copy eagerly instead — its
+// closure outlives the spawning activation.
+func (m *machine) execClosure(th *thread, fn *Fn, this mem.Ref, args []value) value {
+	prevFn, prevPC := th.fn, th.pc
+	th.fn = fn
+	c := th.c
 	fr := m.getCFrame()
+	fr.th = th
 	fr.c = c
 	fr.this = this
 	// One pooled buffer backs both the local slots and the operand
@@ -101,6 +99,12 @@ func (m *machine) execClosure(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) va
 	fr.slots = buf[:fn.Slots:fn.Slots]
 	fr.stack = buf[fn.Slots:]
 	fr.ret = value{}
+	if m.prof != nil {
+		m.prof.Enter(c.ThreadID(), fn.Name, c.Now())
+	}
+	if m.hp != nil {
+		m.hp.Enter(c.ThreadID(), fn.Name, c.Now())
+	}
 
 	if len(fn.steps) > 0 {
 		for s := &fn.steps[0]; s != nil; {
@@ -117,7 +121,7 @@ func (m *machine) execClosure(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) va
 	if m.hp != nil {
 		m.hp.Exit(c.ThreadID(), c.Now())
 	}
-	m.curFn, m.curPC = prevFn, prevPC
+	th.fn, th.pc = prevFn, prevPC
 	return ret
 }
 
@@ -134,6 +138,7 @@ func (m *machine) getCFrame() *cframe {
 }
 
 func (m *machine) putCFrame(fr *cframe) {
+	fr.th = nil
 	fr.c = nil
 	fr.slots = nil
 	fr.stack = nil
@@ -273,7 +278,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 		if d == -1 {
 			// Unreachable; keep a defensive trap.
 			steps[pc] = func(fr *cframe) *step {
-				fr.m.curPC = pc
+				fr.th.pc = pc
 				fr.m.fail("unreachable instruction")
 				return nil
 			}
@@ -348,11 +353,11 @@ func (p *Program) compileClosure(fn *Fn) error {
 				m := fr.m
 				i := fr.stack[d-1]
 				bref := fr.stack[d-2]
+				fr.c.Sync()
 				s := m.bufSlot(bref.ref, &m.cIndexLoad)
 				if i.i < 0 || i.i >= s.length {
 					m.fail("index %d out of range [0,%d)", i.i, s.length)
 				}
-				m.flushWork(fr.c)
 				fr.c.Read(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
 				fr.stack[d-2] = iv(s.data[i.i])
 				return next
@@ -366,11 +371,11 @@ func (p *Program) compileClosure(fn *Fn) error {
 				i := fr.stack[d-1]
 				bref := fr.stack[d-2]
 				v := fr.stack[d-3]
+				fr.c.Sync()
 				s := m.bufSlot(bref.ref, &m.cIndexStore)
 				if i.i < 0 || i.i >= s.length {
 					m.fail("index %d out of range [0,%d)", i.i, s.length)
 				}
-				m.flushWork(fr.c)
 				fr.c.Write(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
 				s.data[i.i] = v.i
 				return next
@@ -449,7 +454,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if !fr.pre(pc, w) {
 					fr.preSlow(w)
 				}
-				fr.stack[d-n] = fr.m.execClosure(fr.c, callee, mem.Nil, fr.stack[d-n:d])
+				fr.stack[d-n] = fr.m.execClosure(fr.th, callee, mem.Nil, fr.stack[d-n:d])
 				return next
 			}
 		case OpMethod:
@@ -462,11 +467,12 @@ func (p *Program) compileClosure(fn *Fn) error {
 				}
 				m := fr.m
 				recv := fr.stack[d-1]
+				fr.c.Sync()
 				s := m.liveSlot(recv.ref, &m.cMisc)
 				if s.class != ci {
 					m.fail("destructor ~%s called on %s object", ci.decl.Name, s.class.decl.Name)
 				}
-				m.runDtor(fr.c, s, recv.ref)
+				m.runDtor(fr.th, s, recv.ref)
 				return next
 			}
 		case OpNew:
@@ -477,7 +483,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if !fr.pre(pc, w) {
 					fr.preSlow(w)
 				}
-				fr.stack[d-n] = fr.m.doNew(fr.c, ci, value{}, fr.stack[d-n:d], site)
+				fr.stack[d-n] = fr.m.doNew(fr.th, ci, value{}, fr.stack[d-n:d], site)
 				return next
 			}
 		case OpPlacementNew:
@@ -488,7 +494,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if !fr.pre(pc, w) {
 					fr.preSlow(w)
 				}
-				fr.stack[d-n-1] = fr.m.doNew(fr.c, ci, fr.stack[d-n-1], fr.stack[d-n:d], site)
+				fr.stack[d-n-1] = fr.m.doNew(fr.th, ci, fr.stack[d-n-1], fr.stack[d-n:d], site)
 				return next
 			}
 		case OpNewArray:
@@ -506,7 +512,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if !fr.pre(pc, w) {
 					fr.preSlow(w)
 				}
-				fr.m.doDelete(fr.c, fr.stack[d-1])
+				fr.m.doDelete(fr.th, fr.stack[d-1])
 				return next
 			}
 		case OpDeleteArray:
@@ -519,9 +525,9 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if v.ref == mem.Nil {
 					return next
 				}
+				fr.c.Sync()
 				s := m.bufSlot(v.ref, &m.cMisc)
 				s.state = stFreed
-				m.flushWork(fr.c)
 				m.alloc.Free(fr.c, v.ref)
 				fr.c.Trace(sim.EvFree, "buffer", int64(v.ref), 0)
 				if m.hp != nil {
@@ -551,6 +557,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 					fr.preSlow(w)
 				}
 				m := fr.m
+				fr.c.Sync()
 				for i := d - n; i < d; i++ {
 					if i > d-n {
 						m.out.WriteByte(' ')
@@ -570,11 +577,11 @@ func (p *Program) compileClosure(fn *Fn) error {
 				m := fr.m
 				args := make([]value, n)
 				copy(args, fr.stack[d-n:d])
-				m.flushWork(fr.c)
+				fr.c.Sync()
 				m.spawned++
 				m.joinable.Add(1)
 				fr.c.Go(fmt.Sprintf("%s#%d", callee.Name, m.spawned), func(c2 *sim.Ctx) {
-					m.execClosure(c2, callee, mem.Nil, args)
+					m.execClosure(m.newThread(c2), callee, mem.Nil, args)
 					m.joinable.Done(c2)
 				})
 				return next
@@ -584,7 +591,6 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if !fr.pre(pc, w) {
 					fr.preSlow(w)
 				}
-				fr.m.flushWork(fr.c)
 				fr.m.joinable.Wait(fr.c)
 				return next
 			}
@@ -594,7 +600,6 @@ func (p *Program) compileClosure(fn *Fn) error {
 					fr.preSlow(w)
 				}
 				if n := fr.stack[d-1]; n.i > 0 {
-					fr.m.flushWork(fr.c)
 					fr.c.Work(n.i)
 				}
 				return next
@@ -608,13 +613,13 @@ func (p *Program) compileClosure(fn *Fn) error {
 					fr.preSlow(w)
 				}
 				m := fr.m
+				fr.c.Sync()
 				var pl *pool.ClassPool
 				if private {
 					pl = m.privatePoolFor(ci)
 				} else {
 					pl = m.poolFor(ci)
 				}
-				m.flushWork(fr.c)
 				ref, reused := pl.Alloc(fr.c)
 				if reused {
 					m.h.ensure(ref).state = stLive
@@ -639,11 +644,11 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if v.ref == mem.Nil {
 					return next
 				}
+				fr.c.Sync()
 				s := m.objSlot(v.ref, &m.cMisc)
 				if s.class != ci {
 					m.fail("__pool_free: %s object given to %s pool", s.class.decl.Name, ci.decl.Name)
 				}
-				m.flushWork(fr.c)
 				var fpl *pool.ClassPool
 				if private {
 					fpl = m.privatePoolFor(ci)
@@ -665,7 +670,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 					fr.preSlow(w)
 				}
 				m := fr.m
-				m.flushWork(fr.c)
+				fr.c.Sync()
 				ref := m.rt.Frame().Alloc(fr.c, ci.decl.Size)
 				s := m.h.ensure(ref)
 				if s.kind != hObj || s.class != ci {
@@ -686,12 +691,12 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if v.ref == mem.Nil {
 					return next
 				}
+				fr.c.Sync()
 				s := m.liveSlot(v.ref, &m.cMisc)
 				if s.class != ci {
 					m.fail("__frame_free: %s object given to %s frame slot", s.class.decl.Name, ci.decl.Name)
 				}
-				m.runDtor(fr.c, s, v.ref)
-				m.flushWork(fr.c)
+				m.runDtor(fr.th, s, v.ref)
 				m.rt.Frame().Free(fr.c, ci.decl.Size, v.ref)
 				return next
 			}
@@ -704,8 +709,8 @@ func (p *Program) compileClosure(fn *Fn) error {
 				m := fr.m
 				n := fr.stack[d-1]
 				if n.i > 0 {
+					fr.c.Sync()
 					pl := m.poolFor(ci)
-					m.flushWork(fr.c)
 					for _, ref := range pl.Reserve(fr.c, int(n.i)) {
 						s := m.h.ensure(ref)
 						s.setObject(ci)
@@ -734,8 +739,8 @@ func (p *Program) compileClosure(fn *Fn) error {
 					fr.stack[d-1] = rv(mem.Nil)
 					return next
 				}
+				fr.c.Sync()
 				s := m.bufSlot(v.ref, &m.cMisc)
-				m.flushWork(fr.c)
 				if m.rt.ShadowSave(fr.c, v.ref, s.usable) {
 					s.state = stDestroyed
 					fr.stack[d-1] = rv(v.ref)
@@ -757,12 +762,12 @@ func (p *Program) compileClosure(fn *Fn) error {
 				}
 				m := fr.m
 				recv := fr.slots[a]
+				fr.c.Sync()
 				s := m.objSlot(recv.ref, &m.cLoadField)
 				idx := s.class.fieldOf[nameID]
 				if idx < 0 {
 					m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[nameID])
 				}
-				m.flushWork(fr.c)
 				fr.c.Read(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 				fr.stack[d] = s.fields[idx]
 				return next
@@ -787,7 +792,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 				if !fr.pre(pc, w) {
 					fr.preSlow(w)
 				}
-				fr.stack[d] = fr.m.execClosure(fr.c, callee, mem.Nil, fr.slots[b:b+1])
+				fr.stack[d] = fr.m.execClosure(fr.th, callee, mem.Nil, fr.slots[b:b+1])
 				return next
 			}
 		case OpCallL2:
@@ -800,7 +805,7 @@ func (p *Program) compileClosure(fn *Fn) error {
 				m := fr.m
 				m.argScratch[0] = fr.slots[b0]
 				m.argScratch[1] = fr.slots[b1]
-				fr.stack[d] = m.execClosure(fr.c, callee, mem.Nil, m.argScratch[:2])
+				fr.stack[d] = m.execClosure(fr.th, callee, mem.Nil, m.argScratch[:2])
 				return next
 			}
 		default:
@@ -830,12 +835,12 @@ func (p *Program) fieldLoadStep(pc int, w int64, d int, ins Instr, next *step) s
 			}
 			m := fr.m
 			recv := fr.stack[d-1]
+			fr.c.Sync()
 			s := m.objSlot(recv.ref, &m.cLoadField)
 			idx := s.class.fieldOf[nameID]
 			if idx < 0 {
 				m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[nameID])
 			}
-			m.flushWork(fr.c)
 			fr.c.Read(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 			fr.stack[d-1] = s.fields[idx]
 			return next
@@ -848,8 +853,8 @@ func (p *Program) fieldLoadStep(pc int, w int64, d int, ins Instr, next *step) s
 		}
 		m := fr.m
 		recv := fr.stack[d-1]
+		fr.c.Sync()
 		s := m.objSlot(recv.ref, &m.cLoadField)
-		m.flushWork(fr.c)
 		fr.c.Read(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 		fr.stack[d-1] = s.fields[idx]
 		return next
@@ -868,12 +873,12 @@ func (p *Program) fieldStoreStep(pc int, w int64, d int, ins Instr, next *step) 
 			m := fr.m
 			recv := fr.stack[d-1]
 			v := fr.stack[d-2]
+			fr.c.Sync()
 			s := m.objSlot(recv.ref, &m.cStoreField)
 			idx := s.class.fieldOf[nameID]
 			if idx < 0 {
 				m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[nameID])
 			}
-			m.flushWork(fr.c)
 			fr.c.Write(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 			s.fields[idx] = v
 			return next
@@ -887,8 +892,8 @@ func (p *Program) fieldStoreStep(pc int, w int64, d int, ins Instr, next *step) 
 		m := fr.m
 		recv := fr.stack[d-1]
 		v := fr.stack[d-2]
+		fr.c.Sync()
 		s := m.objSlot(recv.ref, &m.cStoreField)
-		m.flushWork(fr.c)
 		fr.c.Write(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 		s.fields[idx] = v
 		return next
@@ -908,6 +913,7 @@ func (p *Program) methodStep(pc int, w int64, d int, ins Instr, next *step) step
 		}
 		m := fr.m
 		recv := fr.stack[d-n-1]
+		fr.c.Sync()
 		s := m.liveSlot(recv.ref, &m.cMethod)
 		ic := &m.ics[icIdx]
 		callee := ic.fn
@@ -919,7 +925,7 @@ func (p *Program) methodStep(pc int, w int64, d int, ins Instr, next *step) step
 			callee = m.p.Fns[id]
 			ic.class, ic.fn = s.class, callee
 		}
-		fr.stack[d-n-1] = m.execClosure(fr.c, callee, recv.ref, fr.stack[d-n:d])
+		fr.stack[d-n-1] = m.execClosure(fr.th, callee, recv.ref, fr.stack[d-n:d])
 		return next
 	}
 }

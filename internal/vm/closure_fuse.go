@@ -13,17 +13,16 @@ import "amplify/internal/cc"
 // their prologues.
 //
 // Fusion must be invisible to the simulated machine. The governing
-// rule: at every simulator-visible action (flushWork before a cache
-// Read/Write, allocator traffic, an explicit Work), the cumulative
-// work charged so far must equal the unfused chain's, and in non-bulk
-// mode the sequence of Work(1) calls around visible actions must be
-// identical. Charges for consecutive instructions with no visible
-// action between them are therefore coalesced into one pre() call —
-// the flush timestamps and the per-unit Work sequence come out
-// bit-identical. Faulting operations (objSlot, arithmetic) must report
-// the unfused instruction's fn@pc context, so each coalesced pre() carries
-// the pc of the batch's faulting/visible instruction, with an explicit
-// curPC store where the two differ.
+// rule: at every simulator-visible action (a Sync before shared host
+// state, a cache Read/Write, allocator traffic, an explicit Work) the
+// work units charged so far must equal the unfused chain's. Units are
+// counted, not priced — the simulator settles them as that many
+// Work(1) calls — so charges for consecutive instructions with no
+// visible action between them coalesce into one pre() call with
+// bit-identical results. Faulting operations (objSlot, arithmetic)
+// must report the unfused instruction's fn@pc context, so each
+// coalesced pre() carries the pc of the batch's faulting or visible
+// instruction.
 //
 // Operand-stack writes are invisible to the simulation, so a fused
 // body only materializes the stack slots that survive the region —
@@ -106,8 +105,8 @@ func wsum(code []Instr, pc, n int) int64 {
 // known to be `this` (the fused this;loadf idiom).
 func (fr *cframe) loadThisField(idx int32) value {
 	m := fr.m
+	fr.c.Sync()
 	s := m.objSlot(fr.this, &m.cLoadField)
-	m.flushWork(fr.c)
 	fr.c.Read(uint64(fr.this)+uint64(s.class.offsets[idx]), cc.FieldSize)
 	return s.fields[idx]
 }
@@ -116,8 +115,8 @@ func (fr *cframe) loadThisField(idx int32) value {
 // receiver known to be `this`.
 func (fr *cframe) storeThisField(idx int32, v value) {
 	m := fr.m
+	fr.c.Sync()
 	s := m.objSlot(fr.this, &m.cStoreField)
-	m.flushWork(fr.c)
 	fr.c.Write(uint64(fr.this)+uint64(s.class.offsets[idx]), cc.FieldSize)
 	s.fields[idx] = v
 }
@@ -382,7 +381,7 @@ func (p *Program) fuseAt(code []Instr, depth []int, pc int, clear func(pc, n int
 				if !fr.pre(delPC, wAll) {
 					fr.preSlow(wAll)
 				}
-				fr.m.doDelete(fr.c, fr.slots[a])
+				fr.m.doDelete(fr.th, fr.slots[a])
 				return next
 			}, 2
 		}
@@ -476,7 +475,7 @@ func (p *Program) fuseAt(code []Instr, depth []int, pc int, clear func(pc, n int
 					if !fr.pre(delPC, w2) {
 						fr.preSlow(w2)
 					}
-					fr.m.doDelete(fr.c, v)
+					fr.m.doDelete(fr.th, v)
 					return next
 				}, 3
 			// this; loadf; binop — combine a field of this with the

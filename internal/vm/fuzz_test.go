@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // the agreement is exact down to the simulated makespan and allocation
 // counters: the peephole pass carries the work charge of what it
 // fuses, so optimization must be invisible to the simulated machine.
-// Seeds mirror internal/vet's FuzzVet corpus, plus hostile array sizes
+// Deferred and per-unit work charging agree just as exactly, fault
+// text included. Seeds mirror internal/vet's FuzzVet corpus, plus hostile array sizes
 // whose byte count overflows int64 or whose backing store would not
 // fit in host memory.
 func FuzzVMDiff(f *testing.F) {
@@ -55,6 +57,17 @@ func FuzzVMDiff(f *testing.F) {
 
 		opt, err := RunSource(src, Config{MaxSteps: maxSteps})
 		noOpt, noOptErr := RunSource(src, Config{MaxSteps: maxSteps, NoOpt: true})
+
+		// Deferred work units vs per-unit charging (forced by a tracer
+		// that records preemptions): exact agreement, unsorted output
+		// and fault text included, step-limited runs too.
+		perUnit, perUnitErr := RunSource(src, Config{MaxSteps: maxSteps, Tracer: discard{}})
+		if errText(err) != errText(perUnitErr) {
+			t.Fatalf("deferred units changed failure: deferred err=%v, per-unit err=%v\nprogram:\n%s", err, perUnitErr, src)
+		}
+		if !reflect.DeepEqual(opt, perUnit) {
+			t.Fatalf("deferred units changed the run:\ndeferred: %+v\nper-unit: %+v\nprogram:\n%s", opt, perUnit, src)
+		}
 		if stepLimited(err) || stepLimited(noOptErr) {
 			t.Skip("step limit")
 		}

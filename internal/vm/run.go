@@ -24,14 +24,16 @@ type Config struct {
 	Processors int
 	Strategy   string
 	Pool       pool.Config
-	MaxSteps   int64
-	Tracer     sim.Tracer
+	// MaxSteps bounds each simulated thread's work units (default 50
+	// million), like the interpreter's per-thread statement budget.
+	MaxSteps int64
+	Tracer   sim.Tracer
 	// TraceMask restricts which event kinds reach the tracer (zero
 	// means all).
 	TraceMask sim.Mask
-	// Profiler receives function enter/exit hooks. Setting it disables
-	// bulk work batching so virtual timestamps are exact at call
-	// boundaries.
+	// Profiler receives function enter/exit hooks, stamped with the
+	// exact virtual time: reading the clock applies the thread's pending
+	// work units first.
 	Profiler Profiler
 	// HeapObserver receives allocator and pool events (alloc.Observer).
 	// It is threaded to the underlying allocator and the pool runtime;
@@ -42,9 +44,8 @@ type Config struct {
 	HeapObserver alloc.Observer
 	// HeapProf receives allocation-site hooks (births and deaths keyed
 	// by the compiled Sites table) plus the same Enter/Exit shadow-stack
-	// hooks as Profiler. Unlike Profiler it does not disable bulk work
-	// batching: site attribution needs call nesting, not exact
-	// timestamps, so counts are unaffected.
+	// hooks as Profiler. Like every observer it never changes
+	// makespans.
 	HeapProf HeapProfiler
 	// NoOpt makes RunSource compile without the peephole pass (see
 	// Options.NoOpt). Programs compiled with Compile/CompileOpts carry
@@ -54,7 +55,7 @@ type Config struct {
 	// simulate) on the given telemetry recorder. Purely host-side
 	// bookkeeping: span durations are wall-clock, span attributes are
 	// deterministic simulated numbers, and a non-nil recorder never
-	// changes makespans (it does not affect bulk work batching).
+	// changes makespans.
 	Spans *telemetry.Recorder
 }
 
@@ -172,23 +173,14 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 	m := &machine{
 		p:        p,
 		cfg:      cfg,
+		e:        e,
 		alloc:    under,
 		rt:       pool.NewRuntime(e, under, pcfg),
 		pools:    make([]*pool.ClassPool, len(p.classes)),
 		ics:      make([]methodIC, p.methodSites),
 		joinable: e.NewWaitGroup(),
-		// Single-threaded programs run one sim thread: no dilation, no
-		// migration, an infinite scheduling lease. There, N unit work
-		// charges and one N-cycle charge are exactly equivalent, so the
-		// interpreter batches charges between observable events (loads,
-		// stores, allocator calls). Threaded programs charge per unit —
-		// under oversubscription Ctx.Work dilates each charge with an
-		// integer division, so batching would perturb makespans. A
-		// tracer or profiler also forces per-unit charging to keep
-		// event and call-boundary timestamps exact.
-		bulk: !p.Src.UsesThreads && cfg.Tracer == nil && cfg.Profiler == nil,
-		prof: cfg.Profiler,
-		hp:   cfg.HeapProf,
+		prof:     cfg.Profiler,
+		hp:       cfg.HeapProf,
 	}
 	if cfg.HeapObserver != nil {
 		if w, ok := cfg.HeapObserver.(alloc.Watcher); ok {
@@ -199,8 +191,7 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		}
 	}
 	e.Go("main", func(c *sim.Ctx) {
-		ret := m.execClosure(c, p.Fns[mainID], mem.Nil, nil)
-		m.flushWork(c)
+		ret := m.execClosure(m.newThread(c), p.Fns[mainID], mem.Nil, nil)
 		m.exitCode = ret.i
 	})
 	defer func() {
@@ -257,15 +248,19 @@ func (e *vmError) Error() string {
 	return fmt.Sprintf("vm: %s (at %s@%d: %s)", e.msg, e.fn, e.pc, e.op)
 }
 
-// fail raises a runtime fault annotated with the machine's current
-// function, pc and opcode.
+// fail raises a runtime fault annotated with the faulting thread's
+// current function, pc and opcode. It syncs first, so a fault is raised
+// at the virtual time per-unit charging would raise it: a peer that is
+// due earlier runs first and, if it faults too, its fault is reported.
 func (m *machine) fail(format string, args ...any) {
+	th := m.threads[m.e.Current().Slot()]
+	th.c.Sync()
 	e := &vmError{msg: fmt.Sprintf(format, args...)}
-	if m.curFn != nil {
-		e.fn = m.curFn.Name
-		e.pc = m.curPC
-		if m.curPC >= 0 && m.curPC < len(m.curFn.Code) {
-			e.op = m.curFn.Code[m.curPC].Op.String()
+	if th.fn != nil {
+		e.fn = th.fn.Name
+		e.pc = th.pc
+		if th.pc >= 0 && th.pc < len(th.fn.Code) {
+			e.op = th.fn.Code[th.pc].Op.String()
 		}
 	}
 	panic(e)
@@ -318,9 +313,26 @@ type methodIC struct {
 	fn    *Fn
 }
 
+// thread is one simulated thread's VM state: its simulator context, the
+// site it executes (for fault messages) and its step count. Every
+// simulated thread has its own, so a peer running while this thread is
+// suspended cannot overwrite its fault site.
+type thread struct {
+	c     *sim.Ctx
+	fn    *Fn
+	pc    int
+	steps int64
+	// limit is the step count past which pre takes its slow path:
+	// MaxSteps, or -1 where the engine does not defer work units (a
+	// tracer recording preemptions), so that every step's units are
+	// charged as the step runs.
+	limit int64
+}
+
 type machine struct {
 	p     *Program
 	cfg   Config
+	e     *sim.Engine
 	alloc alloc.Allocator
 	rt    *pool.Runtime
 	// pools is indexed by class id (dense, from the Program).
@@ -341,20 +353,29 @@ type machine struct {
 	argScratch [2]value
 	joinable   *sim.WaitGroup
 	spawned    int
-	steps      int64
-	// bulk batches work charges (see Run); pending holds charges not
-	// yet flushed to the simulator.
-	bulk    bool
-	pending int64
+	// threads holds each simulated thread's VM state, by thread slot.
+	threads []*thread
 	// cframes recycles activation records.
 	cframes  []*cframe
 	prof     Profiler
 	hp       HeapProfiler
 	out      strings.Builder
 	exitCode int64
-	// curFn/curPC track the executing site for fault messages.
-	curFn *Fn
-	curPC int
+}
+
+// newThread registers the VM state of the simulated thread c belongs
+// to; every thread function calls it before running any code.
+func (m *machine) newThread(c *sim.Ctx) *thread {
+	th := &thread{c: c, limit: m.cfg.MaxSteps}
+	if !c.Deferred() {
+		th.limit = -1
+	}
+	id := c.ThreadID()
+	for len(m.threads) <= id {
+		m.threads = append(m.threads, nil)
+	}
+	m.threads[id] = th
+	return th
 }
 
 func (m *machine) poolFor(ci *classInfo) *pool.ClassPool {
@@ -437,17 +458,6 @@ func (m *machine) bufSlot(ref mem.Ref, cache *refCache) *hslot {
 
 func (m *machine) putStack(s []value) { m.stacks = append(m.stacks, s) }
 
-// flushWork charges the simulator for the work accumulated since the
-// last observable event. Called before every simulator interaction
-// (memory traffic, allocator calls, thread operations) so those happen
-// at the same virtual time as under per-unit charging.
-func (m *machine) flushWork(c *sim.Ctx) {
-	if m.pending > 0 {
-		c.Work(m.pending)
-		m.pending = 0
-	}
-}
-
 func (m *machine) arith(op Op, x, y value) value {
 	if x.kind == 'r' || y.kind == 'r' {
 		eq := x.ref == y.ref && x.i == y.i && x.kind == y.kind
@@ -505,21 +515,23 @@ func (m *machine) arith(op Op, x, y value) value {
 	return value{}
 }
 
-func (m *machine) runCtor(c *sim.Ctx, ci *classInfo, ref mem.Ref, args []value) {
+func (m *machine) runCtor(th *thread, ci *classInfo, ref mem.Ref, args []value) {
 	if ci.ctor >= 0 {
-		m.execClosure(c, m.p.Fns[ci.ctor], ref, args)
+		m.execClosure(th, m.p.Fns[ci.ctor], ref, args)
 	}
 }
 
-func (m *machine) runDtor(c *sim.Ctx, s *hslot, ref mem.Ref) {
+func (m *machine) runDtor(th *thread, s *hslot, ref mem.Ref) {
 	if s.class.dtor >= 0 {
-		m.execClosure(c, m.p.Fns[s.class.dtor], ref, nil)
+		m.execClosure(th, m.p.Fns[s.class.dtor], ref, nil)
+		th.c.Sync()
 	}
 	s.state = stDestroyed
 }
 
-func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value, site int32) value {
-	m.flushWork(c)
+func (m *machine) doNew(th *thread, ci *classInfo, placement value, args []value, site int32) value {
+	c := th.c
+	c.Sync()
 	if placement.kind == 'r' && placement.ref != mem.Nil {
 		s := m.objSlot(placement.ref, &m.cMisc)
 		if s.class != ci {
@@ -527,7 +539,7 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 		}
 		if s.state != stLive {
 			s.state = stLive
-			m.runCtor(c, ci, placement.ref, args)
+			m.runCtor(th, ci, placement.ref, args)
 			return rv(placement.ref)
 		}
 		// Live shadow: the structure is not identical — reorganize by
@@ -536,7 +548,8 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 	var ref mem.Ref
 	if ci.opNew >= 0 {
 		m.argScratch[0] = iv(ci.decl.Size)
-		v := m.execClosure(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
+		v := m.execClosure(th, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
+		c.Sync()
 		if v.kind != 'r' || v.ref == mem.Nil {
 			m.fail("operator new of %s returned %s", ci.decl.Name, v.text())
 		}
@@ -557,12 +570,13 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 			m.hp.Alloc(c.ThreadID(), m.p.Sites[site], ci.decl.Name, ci.decl.Size, ref)
 		}
 	}
-	m.runCtor(c, ci, ref, args)
+	m.runCtor(th, ci, ref, args)
 	return rv(ref)
 }
 
-func (m *machine) doDelete(c *sim.Ctx, v value) {
-	m.flushWork(c)
+func (m *machine) doDelete(th *thread, v value) {
+	c := th.c
+	c.Sync()
 	if v.kind != 'r' {
 		m.fail("delete of non-pointer value")
 	}
@@ -570,10 +584,10 @@ func (m *machine) doDelete(c *sim.Ctx, v value) {
 		return
 	}
 	s := m.liveSlot(v.ref, &m.cMisc)
-	m.runDtor(c, s, v.ref)
+	m.runDtor(th, s, v.ref)
 	if s.class.opDelete >= 0 {
 		m.argScratch[0] = rv(v.ref)
-		m.execClosure(c, m.p.Fns[s.class.opDelete], v.ref, m.argScratch[:1])
+		m.execClosure(th, m.p.Fns[s.class.opDelete], v.ref, m.argScratch[:1])
 		return
 	}
 	s.state = stFreed
@@ -585,7 +599,7 @@ func (m *machine) doDelete(c *sim.Ctx, v value) {
 }
 
 func (m *machine) newBuffer(c *sim.Ctx, elemSize int32, n int64, site int32) value {
-	m.flushWork(c)
+	c.Sync()
 	if n < 0 {
 		m.fail("new array with negative length %d", n)
 	}
@@ -606,7 +620,7 @@ func (m *machine) newBuffer(c *sim.Ctx, elemSize int32, n int64, site int32) val
 }
 
 func (m *machine) doRealloc(c *sim.Ctx, ptr value, n int64, site int32) value {
-	m.flushWork(c)
+	c.Sync()
 	if n < 0 {
 		m.fail("realloc: negative size")
 	}
